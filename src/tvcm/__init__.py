@@ -67,7 +67,6 @@ from .model import (
     load_model,
     model_from_dict,
     model_to_dict,
-    recalibrate_intercept,
     save_model,
 )
 from .tree import (

@@ -3,15 +3,12 @@
 Training adds one tree per coefficient dimension per cycle, in ascending
 dimension order, each fitted to directional gradients recomputed from
 the live linear predictor. Tuning runs the same loop on a train half
-and accepts a candidate tree only when it strictly decreases the loss
-on the validation half; a dimension closes after ``patience``
-consecutive rejections and rejected candidates are discarded entirely.
-
-One-hot groups may be updated in parallel within a cycle: member
-columns are disjoint indicators, so group members computed from the
-same pre-group predictor produce exactly the model a serial sweep
-would. The loop itself is sequential over (cycle, dimension); fitted
-models and tune results are immutable outputs.
+and accepts a candidate tree only when it lowers the loss on the
+validation half by more than a noise margin (``acceptance_z`` standard
+errors of its first-order loss delta; z = 0 is plain strict decrease);
+a dimension closes after ``patience`` consecutive rejections and
+rejected candidates are discarded entirely. Fitted models and tune
+results are immutable outputs.
 """
 
 from __future__ import annotations
@@ -33,6 +30,7 @@ from .model import (
     fit_glm,
     glm_linear_predictor,
     intercept_shift,
+    modifier_columns,
 )
 from .tree import TreeConfig, fit_gradient_tree, presort_columns
 
@@ -53,7 +51,6 @@ class BoostConfig:
     kappa: int | tuple = 0
     tree: TreeConfig = field(default_factory=TreeConfig)
     modifier_sets: tuple | None = None
-    parallel_onehot: bool = False
 
     def epsilon_vector(self, p: int) -> np.ndarray:
         eps = np.broadcast_to(np.asarray(self.epsilon, dtype=float), (p,)).copy()
@@ -192,7 +189,6 @@ class _CycleState:
             self.ds.w,
             self.config.tree,
             presorted=self._presorted[j],
-            dim=j,
             assign_out=self._assign_buf,
         )
         return tree, self._assign_buf.copy()
@@ -208,33 +204,6 @@ class _CycleState:
 
     def train_loss(self) -> float:
         return loss_total(self.loss, self.link, self.eta, self.ds.y, self.ds.w)
-
-
-def _cycle_blocks(ds: Dataset, parallel_onehot: bool) -> list[list[int]]:
-    """Dimension processing plan for one cycle, ascending index order.
-
-    With parallel one-hot updates, the member dimensions of a
-    categorical group form one block anchored at the first member.
-    """
-    if not parallel_onehot or not ds.onehot_groups:
-        return [[j] for j in range(ds.p)]
-    pos = {n: j for j, n in enumerate(ds.x_names)}
-    group_of: dict[int, str] = {}
-    for base, members in ds.onehot_groups.items():
-        for m in members:
-            if m in pos:
-                group_of[pos[m]] = base
-    blocks: list[list[int]] = []
-    seen_groups: set[str] = set()
-    for j in range(ds.p):
-        base = group_of.get(j)
-        if base is None:
-            blocks.append([j])
-        elif base not in seen_groups:
-            seen_groups.add(base)
-            members = sorted(pos[m] for m in ds.onehot_groups[base] if m in pos)
-            blocks.append(members)
-    return blocks
 
 
 def _build_space(ds: Dataset, scaler, modifier_sets) -> FeatureSpace:
@@ -266,30 +235,26 @@ def train(
     modifier_sets = _resolve_modifier_sets(config, dataset)
     state = _CycleState(dataset, glm, config, loss, link, modifier_sets)
     trace: list[TraceRow] = []
-    blocks = _cycle_blocks(dataset, config.parallel_onehot)
     for cycle in range(1, int(kappa.max(initial=0)) + 1):
-        for block in blocks:
-            active = [j for j in block if cycle <= kappa[j]]
-            # candidates in a block are fitted before any of them is
-            # applied; for one-hot siblings this matches a serial sweep
-            candidates = [(j, *state.fit_candidate(j)) for j in active]
-            for j, tree, leaf_of in candidates:
-                state.apply(j, tree, leaf_of, cycle)
-                trace.append(
-                    TraceRow(
-                        cycle=cycle,
-                        dimension=dataset.x_names[j],
-                        train_loss=state.train_loss(),
-                        valid_loss=None,
-                        accepted=True,
-                    )
+        for j in range(dataset.p):
+            if cycle > kappa[j]:
+                continue
+            tree, leaf_of = state.fit_candidate(j)
+            state.apply(j, tree, leaf_of, cycle)
+            trace.append(
+                TraceRow(
+                    cycle=cycle,
+                    dimension=dataset.x_names[j],
+                    train_loss=state.train_loss(),
+                    valid_loss=None,
+                    accepted=True,
                 )
+            )
     beta0 = intercept_shift(
         loss, link, state.eta - glm.beta0, dataset.y, dataset.w
     )
     coef = [
         CoefficientFunction(
-            dim=j,
             beta_glm=float(glm.beta[j]),
             epsilon=float(state.eps[j]),
             trees=state.trees[j],
@@ -313,7 +278,9 @@ def tune_kappa(
 
     The cyclic loop runs on the train part; after fitting each
     candidate tree the validation loss is evaluated with the tree
-    applied and the tree is kept only if that loss strictly decreases.
+    applied and the tree is kept only if that loss drops by more than
+    ``stopping.acceptance_z`` times the standard error of the tree's
+    first-order validation loss delta (z = 0: any strict decrease).
     ``patience`` consecutive rejections close a dimension. The returned
     kappa counts accepted trees; rejected candidates leave no footprint.
 
@@ -338,18 +305,7 @@ def tune_kappa(
         # dL/deta per validation row, for the acceptance noise margin
         mu = link.inverse(eta)
         return loss.deriv_mu(mu, ds_va.y, ds_va.w) * link.inverse_deriv(eta)
-    va_subsets: dict[tuple, np.ndarray] = {}
-    va_zsub = []
-    for idx in modifier_sets:
-        key = tuple(idx.tolist())
-        if key not in va_subsets:
-            va_subsets[key] = (
-                ds_va.Z
-                if idx.size == ds_va.Z.shape[1]
-                and np.array_equal(idx, np.arange(idx.size))
-                else np.ascontiguousarray(ds_va.Z[:, idx])
-            )
-        va_zsub.append(va_subsets[key])
+    va_zsub = [modifier_columns(ds_va.Z, idx) for idx in modifier_sets]
     va_xcols = [np.ascontiguousarray(ds_va.X[:, j]) for j in range(ds_va.p)]
     eta_va = glm_linear_predictor(glm, ds_va.X)
     loss_va = loss_total(loss, link, eta_va, ds_va.y, ds_va.w)
@@ -435,23 +391,6 @@ def fit_tvcm(
 # -- feature importance ---------------------------------------------------------
 
 
-def _aggregated_modifier_columns(space: FeatureSpace):
-    """Aggregated column labels: one-hot members fold into their group."""
-    member_to_base = {
-        m: base for base, members in space.onehot_groups.items() for m in members
-    }
-    labels: list[str] = []
-    col_of: dict[str, int] = {}
-    mapping = np.zeros(len(space.modifier_names), dtype=np.int64)
-    for i, name in enumerate(space.modifier_names):
-        label = member_to_base.get(name, name)
-        if label not in col_of:
-            col_of[label] = len(labels)
-            labels.append(label)
-        mapping[i] = col_of[label]
-    return labels, mapping
-
-
 def feature_importance(model: TvcmModel, normalize: bool = True) -> FeatureImportance:
     """Split-gain importance matrix, rows normalized to sum to one.
 
@@ -462,7 +401,7 @@ def feature_importance(model: TvcmModel, normalize: bool = True) -> FeatureImpor
     raw per-row gain totals instead.
     """
     space = model.space
-    col_labels, mapping = _aggregated_modifier_columns(space)
+    col_labels, mapping = space.group_index(space.modifier_names)
     M = np.zeros((model.p, len(col_labels)))
     for j, cf in enumerate(model.coef):
         idx = space.modifier_sets[j]

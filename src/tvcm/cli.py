@@ -141,14 +141,6 @@ class Settings:
         return out
 
 
-def _csv_header(path: str) -> list[str]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        try:
-            return next(csv.reader(fh))
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-
-
 def build_schema(st: Settings, data_path: str) -> data.Schema:
     response = st.get_str("response", "y")
     weight = st.get_str("weight")
@@ -160,7 +152,7 @@ def build_schema(st: Settings, data_path: str) -> data.Schema:
     }
     if numeric == ["auto"] or not numeric:
         skip = {response, weight, *categorical}
-        numeric = [c for c in _csv_header(data_path) if c not in skip and c]
+        numeric = [c for c in data.csv_header(data_path) if c not in skip and c]
     caps = {col: float(v) for col, v in st.prefixed("cap:").items()}
     floors = {col: float(v) for col, v in st.prefixed("floor:").items()}
     transforms = dict(st.prefixed("transform:"))
@@ -193,7 +185,6 @@ def boost_config(st: Settings, kappa=0) -> boosting.BoostConfig:
             max_depth=st.get_int("max_depth", 2),
             min_samples_leaf=st.get_int("min_samples_leaf", 10),
         ),
-        parallel_onehot=st.get_bool("parallel_onehot", False),
     )
 
 
@@ -231,6 +222,9 @@ def _out_dir(st: Settings) -> str:
 def cmd_simulate(st: Settings) -> None:
     n = st.get_int("n", 200000)
     seed = st.get_int("seed", 1)
+    frac = st.get_float("split_frac")
+    if frac is not None and not 0.0 < frac < 1.0:
+        raise ConfigError(f"--split-frac must be in (0, 1), got {frac}")
     out = _out_dir(st)
     ds, mu = data.simulate(data.SimulationSpec(n=n, seed=seed))
     beta = data.true_beta(ds.X)
@@ -248,14 +242,10 @@ def cmd_simulate(st: Settings) -> None:
         )
 
     write_pair("sim_data", np.arange(n))
-    frac = st.get_float("split_frac")
     if frac is not None:
-        split_seed = st.get_int("split_seed", seed)
-        rng = np.random.Generator(np.random.PCG64(split_seed))
-        perm = rng.permutation(n)
-        n1 = int(round(frac * n))
-        write_pair("sim_train", np.sort(perm[:n1]))
-        write_pair("sim_test", np.sort(perm[n1:]))
+        idx_train, idx_test = data.split_indices(n, frac, st.get_int("split_seed", seed))
+        write_pair("sim_train", idx_train)
+        write_pair("sim_test", idx_test)
     print(f"simulate: wrote {n} rows (seed {seed}) to {out}")
 
 
@@ -361,52 +351,20 @@ def cmd_train(st: Settings) -> None:
     print(f"train: model written to {model_path}")
 
 
-def _read_frame(path: str, wanted: list[str]) -> tuple[dict[str, list[str]], int]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty file")
-        pos = {}
-        for name in wanted:
-            if name not in header:
-                raise DataError(f"{path}: missing column {name!r}")
-            pos[name] = header.index(name)
-        columns: dict[str, list[str]] = {name: [] for name in wanted}
-        for r, rec in enumerate(reader):
-            if len(rec) != len(header):
-                raise DataError(
-                    f"{path}: row {r} has {len(rec)} fields, expected {len(header)}"
-                )
-            for name in wanted:
-                columns[name].append(rec[pos[name]])
-    n = len(columns[wanted[0]]) if wanted else 0
-    return columns, n
-
-
 def _frame_for_model(st: Settings, mdl, path: str):
-    """Raw encoded X for a prediction input, plus optional weights."""
+    """Raw encoded X for a scoring input, cleaned by the same directives
+    as training data, plus its weights (ones without a weight column)."""
     schema = build_schema(st, path)
     numeric, bases = mdl.space.raw_input_columns()
     wanted = [*numeric, *bases]
-    weight_col = schema.weight if schema.weight in _csv_header(path) else None
-    if weight_col:
-        wanted = [*wanted, weight_col]
-    columns, n = _read_frame(path, wanted)
-    parsed: dict[str, object] = {}
-    for name in numeric:
-        parsed[name] = [
-            schema.parse_numeric_cell(name, text, r)
-            for r, text in enumerate(columns[name])
-        ]
-    for base in bases:
-        parsed[base] = columns[base]
-    X = mdl.space.encode_frame(parsed)
-    w = (
-        np.asarray([float(v) for v in columns[weight_col]])
-        if weight_col
-        else np.ones(n)
-    )
+    weight = schema.weight if schema.weight in data.csv_header(path) else None
+    if weight:
+        wanted.append(weight)
+    cells, n = data.read_columns(path, wanted)
+    frame = {col: schema.numeric_values(col, cells[col], path) for col in numeric}
+    frame.update((base, cells[base]) for base in bases)
+    X = mdl.space.encode_frame(frame)
+    w = schema.weight_values(cells[weight], path) if weight else np.ones(n)
     return X, w, n
 
 
@@ -468,9 +426,7 @@ def cmd_evaluate(st: Settings) -> None:
     preds = getattr(st.args, "pred", None) or []
     out = _out_dir(st)
     loss, link = loss_link(st)
-    schema = build_schema(st, path)
-    ds = data.load_csv(path, schema)
-    ds_enc = data.onehot_encode(ds)
+    ds = data.load_csv(path, build_schema(st, path))
     named: list[tuple[str, np.ndarray]] = []
     for item in preds:
         name, _, ppath = item.partition("=")
@@ -541,7 +497,7 @@ def cmd_importance(st: Settings) -> None:
         gain_rows,
     )
     if st.get_bool("aggregate_rows", False):
-        labels, mapping = _grouped_rows(mdl)
+        labels, mapping = mdl.space.group_index(mdl.space.feature_names)
         raw_gains = boosting.feature_importance(mdl, normalize=False).split_gain
         grouped = np.zeros((len(labels), raw_gains.shape[1]))
         for j in range(mdl.p):
@@ -565,22 +521,6 @@ def cmd_importance(st: Settings) -> None:
     print(f"importance: wrote {dest_gain} and {dest_star}")
 
 
-def _grouped_rows(mdl) -> tuple[list[str], np.ndarray]:
-    member_to_base = {
-        m: b for b, ms in mdl.space.onehot_groups.items() for m in ms
-    }
-    labels: list[str] = []
-    pos: dict[str, int] = {}
-    mapping = np.zeros(mdl.p, dtype=np.int64)
-    for j, name in enumerate(mdl.space.feature_names):
-        label = member_to_base.get(name, name)
-        if label not in pos:
-            pos[label] = len(labels)
-            labels.append(label)
-        mapping[j] = pos[label]
-    return labels, mapping
-
-
 # -- argument parsing -----------------------------------------------------------
 
 
@@ -588,8 +528,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="key = value settings file")
     sub.add_argument("--profile", choices=sorted(PROFILES), help="defaults profile")
     sub.add_argument("--seed", type=int, help="seed for any randomized step")
-    sub.add_argument("--threads", type=int,
-                     help="reserved; numerical kernels run single-threaded")
     sub.add_argument("--out", help="output directory (default: current)")
 
 

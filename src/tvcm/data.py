@@ -137,12 +137,13 @@ class Schema:
     ``response_kind`` is "real" or "count"; counts must be nonnegative.
     ``response_per_weight`` divides the response by the weight column at
     load time (claim counts over exposure become frequencies, matching
-    the scale the loss functions expect). ``caps``/``floors`` clip a
-    column (the response and weight included), ``transforms`` applies a
-    declared transform ("log" or "log1p"), and ``ordinal`` maps a string
-    column listed under ``numeric`` to 1-based codes over an explicitly
-    declared level order. No recode or transform ever happens
-    implicitly.
+    the scale the loss functions expect). ``caps`` clip any column (the
+    response and weight included); ``floors`` clip and ``transforms``
+    ("log" or "log1p") transform a numeric column, and ``ordinal`` maps
+    a string column listed under ``numeric`` to 1-based codes over an
+    explicitly declared level order. No recode or transform ever happens
+    implicitly. Training and scoring clean columns with the same two
+    methods, so a scored row sees exactly the features training saw.
     """
 
     response: str
@@ -170,26 +171,98 @@ class Schema:
                     f"ordinal column {col!r} must be listed under numeric"
                 )
 
-    def parse_numeric_cell(self, col: str, text: str, row: int) -> float:
+    def numeric_values(self, col: str, cells: list[str], path) -> np.ndarray:
+        """Feature values of numeric column ``col`` from its text cells:
+        ordinal code or float, then the declared floor, cap and transform.
+        """
         if col in self.ordinal:
             levels = self.ordinal[col]
-            try:
-                return float(levels.index(text) + 1)
-            except ValueError:
-                raise DataError(
-                    f"unknown ordinal level {text!r} at row {row}, "
-                    f"column {col!r} (declared: {', '.join(levels)})"
-                ) from None
-        return _parse_float(text, row, col)
+            code = {lv: float(levels.index(lv) + 1) for lv in levels}
+            for r, text in enumerate(cells):
+                if text not in code:
+                    raise DataError(
+                        f"{path}: unknown ordinal level {text!r} at row {r}, "
+                        f"column {col!r} (declared: {', '.join(levels)})"
+                    )
+            v = np.asarray([code[text] for text in cells], dtype=float)
+        else:
+            v = _floats(cells, col, path)
+        _require(np.isfinite(v), "non-finite value", col, path)
+        if col in self.floors:
+            v = np.maximum(v, self.floors[col])
+        if col in self.caps:
+            v = np.minimum(v, self.caps[col])
+        transform = self.transforms.get(col)
+        if transform == "log":
+            _require(v > 0, "log transform of a non-positive value", col, path)
+            v = np.log(v)
+        elif transform == "log1p":
+            _require(v > -1, "log1p transform of a value <= -1", col, path)
+            v = np.log1p(v)
+        return v
+
+    def weight_values(self, cells: list[str], path) -> np.ndarray:
+        """Weights from the text cells of the weight column: capped as
+        declared, then required finite and positive."""
+        col = self.weight
+        w = _floats(cells, col, path)
+        if col in self.caps:
+            w = np.minimum(w, self.caps[col])
+        _require(np.isfinite(w), "non-finite value", col, path)
+        _require(w > 0, "non-positive weight", col, path)
+        return w
 
 
-def _parse_float(text: str, row: int, col: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise DataError(
-            f"unparsable numeric value {text!r} at row {row}, column {col!r}"
-        ) from None
+def _floats(cells: list[str], col: str, path) -> np.ndarray:
+    values = []
+    for r, text in enumerate(cells):
+        try:
+            values.append(float(text))
+        except ValueError:
+            raise DataError(
+                f"{path}: unparsable numeric value {text!r} at row {r}, "
+                f"column {col!r}"
+            ) from None
+    return np.asarray(values, dtype=float)
+
+
+def _require(ok: np.ndarray, what: str, col: str, path) -> None:
+    """DataError naming the first row where ``ok`` is False."""
+    if not np.all(ok):
+        r = int(np.flatnonzero(~ok)[0])
+        raise DataError(f"{path}: {what} at row {r}, column {col!r}")
+
+
+def csv_header(path) -> list[str]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        header = next(csv.reader(fh), None)
+    if header is None:
+        raise DataError(f"{path}: empty file")
+    return header
+
+
+def read_columns(path, names) -> tuple[dict[str, list[str]], int]:
+    """Text cells of the named columns of a comma-separated, headered,
+    UTF-8 file, and the number of data rows.
+
+    Every row must have as many fields as the header. Reported row
+    numbers are 0-based data rows (the header is not counted).
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}: empty file")
+        for col in names:
+            if col not in header:
+                raise DataError(f"{path}: missing column {col!r}")
+        rows = list(reader)
+    for r, rec in enumerate(rows):
+        if len(rec) != len(header):
+            raise DataError(f"{path}: row {r} has {len(rec)} fields, "
+                            f"expected {len(header)}")
+    pos = {col: header.index(col) for col in names}
+    return {col: [rec[i] for rec in rows] for col, i in pos.items()}, len(rows)
 
 
 def load_csv(path, schema: Schema) -> Dataset:
@@ -199,94 +272,29 @@ def load_csv(path, schema: Schema) -> Dataset:
     sorted level names, pending one-hot expansion. Reported row numbers
     are 0-based data rows (the header is not counted).
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        pos = {name: i for i, name in enumerate(header)}
-        needed = [schema.response, *schema.numeric, *schema.categorical]
-        if schema.weight:
-            needed.append(schema.weight)
-        for col in needed:
-            if col not in pos:
-                raise DataError(f"{path}: missing column {col!r}")
-        y_raw: list[float] = []
-        w_raw: list[float] = []
-        num_raw: list[list[float]] = [[] for _ in schema.numeric]
-        cat_raw: list[list[str]] = [[] for _ in schema.categorical]
-        for r, rec in enumerate(reader):
-            if len(rec) != len(header):
-                raise DataError(f"{path}: row {r} has {len(rec)} fields, "
-                                f"expected {len(header)}")
-            y_raw.append(_parse_float(rec[pos[schema.response]], r, schema.response))
-            if schema.weight:
-                wv = _parse_float(rec[pos[schema.weight]], r, schema.weight)
-                if schema.weight in schema.caps:
-                    wv = min(wv, schema.caps[schema.weight])
-                if wv <= 0:
-                    raise DataError(
-                        f"{path}: non-positive weight {wv} at row {r}, "
-                        f"column {schema.weight!r}"
-                    )
-                w_raw.append(wv)
-            for k, col in enumerate(schema.numeric):
-                num_raw[k].append(schema.parse_numeric_cell(col, rec[pos[col]], r))
-            for k, col in enumerate(schema.categorical):
-                cat_raw[k].append(rec[pos[col]])
-
-    n = len(y_raw)
+    names = [schema.response, *schema.numeric, *schema.categorical]
+    if schema.weight:
+        names.append(schema.weight)
+    cells, n = read_columns(path, names)
     if n == 0:
         raise DataError(f"{path}: no data rows")
-    y = np.asarray(y_raw, dtype=float)
-    if not np.all(np.isfinite(y)):
-        bad = int(np.flatnonzero(~np.isfinite(y))[0])
-        raise DataError(f"{path}: non-finite value at row {bad}, "
-                        f"column {schema.response!r}")
-    if schema.weight and not all(np.isfinite(w_raw)):
-        bad = [i for i, v in enumerate(w_raw) if not np.isfinite(v)][0]
-        raise DataError(f"{path}: non-finite value at row {bad}, "
-                        f"column {schema.weight!r}")
-    if schema.response_kind == "count" and np.any(y < 0):
-        bad = int(np.flatnonzero(y < 0)[0])
-        raise DataError(f"{path}: negative count at row {bad}, "
-                        f"column {schema.response!r}")
+    y = _floats(cells[schema.response], schema.response, path)
+    _require(np.isfinite(y), "non-finite value", schema.response, path)
+    if schema.response_kind == "count":
+        _require(y >= 0, "negative count", schema.response, path)
     if schema.response in schema.caps:
         y = np.minimum(y, schema.caps[schema.response])
-    w = np.asarray(w_raw, dtype=float) if schema.weight else np.ones(n)
+    w = schema.weight_values(cells[schema.weight], path) if schema.weight else np.ones(n)
     if schema.response_per_weight:
         y = y / w
 
-    cols = []
-    for k, col in enumerate(schema.numeric):
-        v = np.asarray(num_raw[k], dtype=float)
-        if not np.all(np.isfinite(v)):
-            bad = int(np.flatnonzero(~np.isfinite(v))[0])
-            raise DataError(f"{path}: non-finite value at row {bad}, column {col!r}")
-        if col in schema.floors:
-            v = np.maximum(v, schema.floors[col])
-        if col in schema.caps:
-            v = np.minimum(v, schema.caps[col])
-        if col in schema.transforms:
-            t = schema.transforms[col]
-            if t == "log":
-                if np.any(v <= 0):
-                    bad = int(np.flatnonzero(v <= 0)[0])
-                    raise DataError(
-                        f"{path}: log transform needs positive values; "
-                        f"row {bad}, column {col!r}"
-                    )
-                v = np.log(v)
-            elif t == "log1p":
-                v = np.log1p(v)
-        cols.append(v)
+    cols = [schema.numeric_values(col, cells[col], path) for col in schema.numeric]
     X = np.column_stack(cols) if cols else np.empty((n, 0))
 
     cat_codes: dict[str, np.ndarray] = {}
     cat_levels: dict[str, list[str]] = {}
-    for k, col in enumerate(schema.categorical):
-        values = cat_raw[k]
+    for col in schema.categorical:
+        values = cells[col]
         levels = sorted(set(values))
         lookup = {lv: i for i, lv in enumerate(levels)}
         cat_codes[col] = np.asarray([lookup[v] for v in values], dtype=np.int64)
@@ -338,16 +346,20 @@ def onehot_encode(ds: Dataset) -> Dataset:
     )
 
 
+def split_indices(n: int, frac: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted row indices of a seeded two-way split of n rows; the first
+    part holds round(frac * n) rows of a PCG64 permutation."""
+    perm = np.random.Generator(np.random.PCG64(seed)).permutation(n)
+    n1 = int(round(frac * n))
+    return np.sort(perm[:n1]), np.sort(perm[n1:])
+
+
 def split(ds: Dataset, fractions, seed: int) -> tuple[Dataset, Dataset]:
     """Disjoint, exhaustive two-way split by seeded permutation."""
     f1, f2 = float(fractions[0]), float(fractions[1])
     if abs(f1 + f2 - 1.0) > 1e-9:
         raise ConfigError("split fractions must sum to 1")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    perm = rng.permutation(ds.n)
-    n1 = int(round(f1 * ds.n))
-    idx1 = np.sort(perm[:n1])
-    idx2 = np.sort(perm[n1:])
+    idx1, idx2 = split_indices(ds.n, f1, seed)
     return ds.take(idx1), ds.take(idx2)
 
 

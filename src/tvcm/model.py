@@ -33,7 +33,6 @@ class GlmCoefficients:
 class CoefficientFunction:
     """One GLM scalar plus the shrunken trees for one feature dimension."""
 
-    dim: int
     beta_glm: float
     epsilon: float
     trees: list[RegressionTree]
@@ -61,25 +60,43 @@ class FeatureSpace:
     def p(self) -> int:
         return len(self.feature_names)
 
+    def group_label(self, name: str) -> str:
+        """The categorical column a one-hot member column was expanded
+        from; any other column is its own group."""
+        for base, members in self.onehot_groups.items():
+            if name in members:
+                return base
+        return name
+
+    def group_index(self, names) -> tuple[list[str], np.ndarray]:
+        """Distinct group labels of ``names`` in first-seen order, and
+        the position of each name's label in that list."""
+        labels: list[str] = []
+        pos: dict[str, int] = {}
+        mapping = np.zeros(len(names), dtype=np.int64)
+        for i, name in enumerate(names):
+            label = self.group_label(name)
+            if label not in pos:
+                pos[label] = len(labels)
+                labels.append(label)
+            mapping[i] = pos[label]
+        return labels, mapping
+
     def onehot_member_dims(self) -> set[int]:
-        members = {m for g in self.onehot_groups.values() for m in g}
-        return {j for j, n in enumerate(self.feature_names) if n in members}
+        return {j for j, n in enumerate(self.feature_names)
+                if self.group_label(n) != n}
 
     def modifier_matrix(self, Z_std: np.ndarray, j: int) -> np.ndarray:
-        idx = self.modifier_sets[j]
-        if idx.size == len(self.modifier_names) and np.array_equal(
-            idx, np.arange(idx.size)
-        ):
-            return Z_std
-        return Z_std[:, idx]
+        return modifier_columns(Z_std, self.modifier_sets[j])
 
     def raw_input_columns(self) -> tuple[list[str], list[str]]:
         """(numeric column names, categorical base names) a raw input
         frame must provide to cover the encoded feature columns."""
-        members = {m for g in self.onehot_groups.values() for m in g}
-        numeric = [n for n in self.feature_names if n not in members]
-        bases = [b for b, g in self.onehot_groups.items()
-                 if any(m in self.feature_names for m in g)]
+        labels = [self.group_label(n) for n in self.feature_names]
+        numeric = [n for n, g in zip(self.feature_names, labels) if g == n]
+        bases = list(dict.fromkeys(
+            g for n, g in zip(self.feature_names, labels) if g != n
+        ))
         return numeric, bases
 
     def encode_frame(self, columns: dict) -> np.ndarray:
@@ -116,6 +133,14 @@ class FeatureSpace:
                     )
                 X[r, level_col[value]] = 1.0
         return X
+
+
+def modifier_columns(Z: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Columns ``idx`` of Z, or Z itself when idx selects every column
+    in order."""
+    if idx.size == Z.shape[1] and np.array_equal(idx, np.arange(idx.size)):
+        return Z
+    return Z[:, idx]
 
 
 def _as_matrix(rows, width: int, what: str) -> np.ndarray:
@@ -295,14 +320,6 @@ def intercept_shift(loss, link, partial_eta, y, w) -> float:
     return float(np.log(wy) - np.log(np.sum(w * np.exp(partial_eta))))
 
 
-def recalibrate_intercept(model: TvcmModel, dataset: Dataset) -> TvcmModel:
-    """New model whose intercept restores aggregate balance on ``dataset``."""
-    eta = model.linear_predictor(dataset.X, dataset.Z)
-    rest = eta - model.beta0
-    beta0 = intercept_shift(model.loss, model.link, rest, dataset.y, dataset.w)
-    return TvcmModel(beta0, model.coef, model.loss, model.link, model.space)
-
-
 # -- serialization -------------------------------------------------------------
 
 
@@ -385,12 +402,11 @@ def model_from_dict(payload: dict) -> TvcmModel:
         )
         coef = [
             CoefficientFunction(
-                dim=j,
                 beta_glm=float(d["beta_glm"]),
                 epsilon=float(d["epsilon"]),
-                trees=[RegressionTree.from_dict(t, dim=j) for t in d["trees"]],
+                trees=[RegressionTree.from_dict(t) for t in d["trees"]],
             )
-            for j, d in enumerate(payload["dimensions"])
+            for d in payload["dimensions"]
         ]
         beta0 = float(payload["beta0"])
     except (KeyError, TypeError, ValueError) as exc:

@@ -6,7 +6,7 @@ steps on the actual loss. Candidate thresholds are midpoints between
 consecutive distinct sorted feature values; among equal-gain splits the
 lowest feature index wins, then the lowest threshold, and values equal
 to a threshold route left. Fitted trees are immutable once published;
-``route``/``predict``/``split_gains`` are read-only and safe to share.
+``assign``/``predict``/``split_gains`` are read-only and safe to share.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ class RegressionTree:
     """Axis-aligned binary partition stored as flat node arrays.
 
     Node 0 is the root. Internal nodes carry (feature, threshold,
-    left, right, gain); leaves carry (value, grad_mean, count) and have
+    left, right, gain); leaves carry (value, count) and have
     feature == -1.
     """
 
@@ -51,34 +51,29 @@ class RegressionTree:
         "left",
         "right",
         "value",
-        "grad_mean",
         "count",
         "gain",
         "n_features",
-        "dim",
     )
 
-    def __init__(self, n_features: int, dim: int = -1):
+    def __init__(self, n_features: int):
         self.feature: list | np.ndarray = []
         self.threshold: list | np.ndarray = []
         self.left: list | np.ndarray = []
         self.right: list | np.ndarray = []
         self.value: list | np.ndarray = []
-        self.grad_mean: list | np.ndarray = []
         self.count: list | np.ndarray = []
         self.gain: list | np.ndarray = []
         self.n_features = int(n_features)
-        self.dim = int(dim)
 
     # -- builder ----------------------------------------------------------
 
-    def _add_node(self, grad_mean: float, count: int) -> int:
+    def _add_node(self, count: int) -> int:
         self.feature.append(-1)
         self.threshold.append(np.nan)
         self.left.append(-1)
         self.right.append(-1)
         self.value.append(0.0)
-        self.grad_mean.append(grad_mean)
         self.count.append(count)
         self.gain.append(0.0)
         return len(self.feature) - 1
@@ -89,7 +84,6 @@ class RegressionTree:
         self.left = np.asarray(self.left, dtype=np.int32)
         self.right = np.asarray(self.right, dtype=np.int32)
         self.value = np.asarray(self.value, dtype=float)
-        self.grad_mean = np.asarray(self.grad_mean, dtype=float)
         self.count = np.asarray(self.count, dtype=np.int64)
         self.gain = np.asarray(self.gain, dtype=float)
 
@@ -132,10 +126,6 @@ class RegressionTree:
     def predict(self, Z) -> np.ndarray:
         return self.value[self.assign(Z)]
 
-    def route(self, z) -> float:
-        """Adjusted value of the leaf that a single modifier row lands in."""
-        return float(self.value[self.assign(z)[0]])
-
     def split_gains(self) -> dict[int, float]:
         """Total split gain per feature index; empty for single-leaf trees."""
         out: dict[int, float] = {}
@@ -171,11 +161,11 @@ class RegressionTree:
         return {"n_features": self.n_features, "nodes": nodes, "gains": gains}
 
     @classmethod
-    def from_dict(cls, payload: dict, dim: int = -1) -> "RegressionTree":
-        tree = cls(payload["n_features"], dim=dim)
+    def from_dict(cls, payload: dict) -> "RegressionTree":
+        tree = cls(payload["n_features"])
         gains = payload.get("gains") or [None] * len(payload["nodes"])
         for node, gain in zip(payload["nodes"], gains):
-            nid = tree._add_node(np.nan, node.get("count", 0))
+            nid = tree._add_node(node.get("count", 0))
             if "feature" in node:
                 tree.feature[nid] = node["feature"]
                 tree.threshold[nid] = node["threshold"]
@@ -232,7 +222,6 @@ def fit_partition(
     modifiers,
     config: TreeConfig,
     presorted: list[np.ndarray] | None = None,
-    dim: int = -1,
     assign_out: np.ndarray | None = None,
 ) -> RegressionTree:
     """Greedy top-down least-squares tree on (gradients, modifiers).
@@ -240,9 +229,9 @@ def fit_partition(
     Splits maximize the squared-error reduction subject to
     min_samples_leaf on both children; growth stops at max_depth or when
     no split has positive gain. Fewer than 2*min_samples_leaf rows give
-    a single-leaf tree. Leaf values are left at 0 pending adjust_leaves;
-    leaf grad_mean holds the mean gradient. ``assign_out`` (int32,
-    length n) receives each row's leaf id, saving a routing pass.
+    a single-leaf tree. Leaf values are left at 0 pending adjust_leaves.
+    ``assign_out`` (int32, length n) receives each row's leaf id, saving
+    a routing pass.
     """
     g = np.ascontiguousarray(gradients, dtype=float)
     Z = np.asarray(modifiers, dtype=float)
@@ -255,7 +244,7 @@ def fit_partition(
         presorted = presort_columns(Z)
     cols = [np.ascontiguousarray(Z[:, f]) for f in range(q)]
 
-    tree = RegressionTree(q, dim=dim)
+    tree = RegressionTree(q)
     min_leaf = config.min_samples_leaf
 
     def build(orders: list[np.ndarray], depth: int) -> int:
@@ -263,7 +252,7 @@ def fit_partition(
         m = rows.size
         gr = g[rows]
         mean = float(gr.mean())
-        node = tree._add_node(mean, m)
+        node = tree._add_node(m)
         best = None
         if depth < config.max_depth and m >= 2 * min_leaf:
             sse = float(np.sum((gr - mean) ** 2))
@@ -409,13 +398,12 @@ def fit_gradient_tree(
     w,
     config: TreeConfig,
     presorted: list[np.ndarray] | None = None,
-    dim: int = -1,
     assign_out: np.ndarray | None = None,
 ) -> RegressionTree:
     """Fit one boosting tree: gradients, partition, leaf adjustment."""
     g = directional_gradient(loss, link, x_col, eta, y, w)
     tree = fit_partition(
-        g, modifiers, config, presorted=presorted, dim=dim, assign_out=assign_out
+        g, modifiers, config, presorted=presorted, assign_out=assign_out
     )
     return adjust_leaves(
         tree, modifiers, x_col, eta, y, w, loss, link, leaf_of=assign_out

@@ -11,12 +11,11 @@ def sim_encoded(n=4000, seed=5):
 
 
 def fit(ds, kappa, *, loss=losses.GAUSSIAN, link=losses.IDENTITY,
-        min_leaf=10, stopping=None, epsilon=0.01, parallel=False):
+        min_leaf=10, stopping=None, epsilon=0.01):
     cfg = boosting.BoostConfig(
         epsilon=epsilon,
         kappa=kappa,
         tree=tree.TreeConfig(2, min_leaf),
-        parallel_onehot=parallel,
     )
     return boosting.fit_tvcm(ds, loss, link, cfg, stopping=stopping)
 
@@ -256,21 +255,6 @@ def onehot_dataset(n=3000, seed=17, levels=("a", "b", "c")):
         cat_levels={"g": sorted(levels)},
     )
     return data.onehot_encode(ds)
-
-
-def test_parallel_onehot_equals_serial():
-    ds = onehot_dataset()
-    serial = fit(ds, kappa=12, parallel=False)
-    parallel = fit(ds, kappa=12, parallel=True)
-    a = serial.model.predict_mu(ds.X, ds.Z)
-    b = parallel.model.predict_mu(ds.X, ds.Z)
-    assert np.array_equal(a, b)
-    assert serial.model.beta0 == parallel.model.beta0
-    for cf_a, cf_b in zip(serial.model.coef, parallel.model.coef):
-        assert len(cf_a.trees) == len(cf_b.trees)
-        for ta, tb in zip(cf_a.trees, cf_b.trees):
-            assert np.array_equal(ta.value, tb.value)
-            assert np.array_equal(ta.threshold, tb.threshold, equal_nan=True)
 
 
 def test_importance_unit_row_and_zero_row():

@@ -1,10 +1,14 @@
 import csv
 import hashlib
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from tvcm import boosting, data, model
 from tvcm.cli import main
 
 
@@ -214,13 +218,13 @@ def test_poisson_predictions_emit_expected_response(tmp_path):
         writer = csv.writer(fh)
         writer.writerow(["n", "expo", "age"])
         for _ in range(300):
-            expo = rng.uniform(0.5, 1.0)
+            expo = rng.uniform(0.5, 1.5)
             writer.writerow([rng.poisson(expo * 0.2), expo, rng.uniform(20, 80)])
     cfg = tmp_path / "p.cfg"
     cfg.write_text(
         "loss = poisson_deviance\nlink = log\nresponse = n\nweight = expo\n"
         "response_kind = count\nresponse_per_weight = true\nnumeric = age\n"
-        "min_samples_leaf = 20\n"
+        "min_samples_leaf = 20\ncap:expo = 1\n"
     )
     out = tmp_path / "out"
     assert run(["train", "--data", data_csv, "--config", cfg, "--kappa", "0",
@@ -235,7 +239,9 @@ def test_poisson_predictions_emit_expected_response(tmp_path):
     with open(data_csv) as fh:
         for r in csv.DictReader(fh):
             expo.append(float(r["expo"]))
-    np.testing.assert_allclose(exp_resp, mu * np.array(expo), rtol=1e-12)
+    # expected response uses the exposure as training saw it: capped at 1
+    assert max(expo) > 1.0
+    np.testing.assert_allclose(exp_resp, mu * np.minimum(expo, 1.0), rtol=1e-12)
 
 
 def test_poisson_evaluate_emits_x100_column(tmp_path):
@@ -300,3 +306,166 @@ def test_unknown_profile_rejected(tmp_path, capsys):
     code = run(["simulate", "--config", cfg, "--n", 10, "--out", tmp_path])
     assert code == 2
     assert "profile" in capsys.readouterr().err
+
+
+def test_simulate_rejects_split_frac_outside_unit_interval(tmp_path, capsys):
+    for frac in (1.5, 0.0, -0.2):
+        code = run(["simulate", "--n", 20, "--split-frac", frac, "--out", tmp_path])
+        assert code == 2
+        assert "split-frac" in capsys.readouterr().err
+    assert not (tmp_path / "sim_train.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "column, cell, message",
+    [
+        ("w", "0", "non-positive weight"),
+        ("w", "-1.5", "non-positive weight"),
+        ("w", "nan", "non-finite value"),
+        ("w", "inf", "non-finite value"),
+        ("x3", "nan", "non-finite value"),
+        ("x3", "-inf", "non-finite value"),
+    ],
+)
+def test_predict_rejects_bad_cell_with_coordinates(pipeline, tmp_path, capsys,
+                                                   column, cell, message):
+    with open(pipeline / "sim_test.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[:5]
+    rows[3][rows[0].index(column)] = cell  # data row 2
+    bad_csv = tmp_path / "bad.csv"
+    with open(bad_csv, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    code = run(["predict", "--model", pipeline / "model.json", "--data", bad_csv,
+                "--out", tmp_path])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{message} at row 2, column {column!r}" in err
+
+
+def write_region_claims(path, n=400, seed=3):
+    rng = np.random.default_rng(seed)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["n", "expo", "age", "region"])
+        for _ in range(n):
+            age = rng.uniform(20, 80)
+            expo = rng.uniform(0.2, 1.0)
+            region = rng.choice(["north", "south", "west"])
+            lam = expo * 0.2 * (1 + 2 * (age > 50)) * (1 + (region == "west"))
+            writer.writerow([rng.poisson(lam), expo, age, region])
+
+
+def test_importance_aggregate_rows(tmp_path):
+    data_csv = tmp_path / "claims.csv"
+    write_region_claims(data_csv)
+    cfg = tmp_path / "claims.cfg"
+    cfg.write_text(
+        "loss = poisson_deviance\nlink = log\nresponse = n\nweight = expo\n"
+        "response_kind = count\nresponse_per_weight = true\n"
+        "numeric = age\ncategorical = region\nmin_samples_leaf = 20\n"
+        "epsilon = 0.1\n"
+    )
+    out = tmp_path / "out"
+    assert run(["train", "--data", data_csv, "--config", cfg, "--kappa", "4",
+                "--out", out]) == 0
+    assert run(["importance", "--model", out / "model.json", "--data", data_csv,
+                "--config", cfg, "--aggregate-rows", "--out", out]) == 0
+    with open(out / "importance_split_gain_grouped.csv", newline="") as fh:
+        header, *body = list(csv.reader(fh))
+    mdl = model.load_model(out / "model.json")
+    raw = boosting.feature_importance(mdl, normalize=False)
+    assert raw.row_labels == ["age", "region=north", "region=south", "region=west"]
+    assert header == ["dimension", "age", "region"]
+    assert [r[0] for r in body] == ["age", "region"]
+    # one row per original column: member rows' raw gains are summed,
+    # then the row is normalized to one
+    for label, rows in (("age", [0]), ("region", [1, 2, 3])):
+        expected = raw.split_gain[rows].sum(axis=0)
+        assert expected.sum() > 0
+        got = [float(v) for v in body[[r[0] for r in body].index(label)][1:]]
+        np.testing.assert_allclose(got, expected / expected.sum(), rtol=1e-12)
+
+
+@st.composite
+def ingestion_cases(draw):
+    """A random schema over positive numeric, ordinal and categorical
+    columns, with random floor/cap/transform directives."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    numeric = ["a", "b", "lvl"][: draw(st.integers(1, 3))]
+    n_cat = draw(st.integers(0, 2))
+    directives = {}
+    for col in numeric:
+        transform = draw(st.sampled_from([None, "log", "log1p"]))
+        if transform:
+            directives[f"transform:{col}"] = transform
+        if draw(st.booleans()):
+            directives[f"floor:{col}"] = draw(st.sampled_from([0.5, 1.5, 2.0]))
+        if draw(st.booleans()):
+            directives[f"cap:{col}"] = draw(st.sampled_from([2.5, 3.0, 12.0]))
+    if draw(st.booleans()):
+        directives["cap:w"] = draw(st.sampled_from([0.9, 1.2]))
+    return seed, numeric, [f"c{k}" for k in range(n_cat)], directives
+
+
+@settings(max_examples=12, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(ingestion_cases())
+def test_scoring_sees_the_features_training_saw(case):
+    seed, numeric, categorical, directives = case
+    rng = np.random.default_rng(seed)
+    n = 80
+    levels = ("lo", "mid", "hi")
+    columns = {
+        "a": rng.uniform(0.2, 20.0, n),
+        "b": rng.lognormal(0.5, 1.0, n),
+        "lvl": rng.choice(levels, n),
+        "c0": rng.choice(["p", "q"], n),
+        "c1": rng.choice(["r", "s", "t"], n),
+        "w": rng.uniform(0.5, 1.5, n),
+    }
+    columns["y"] = np.log1p(columns["a"]) + rng.standard_normal(n)
+    header = ["y", "w", *numeric, *categorical]
+    settings_text = {
+        "response": "y", "weight": "w", "numeric": ",".join(numeric),
+        "categorical": ",".join(categorical), "min_samples_leaf": "5",
+        "ordinal:lvl": ",".join(levels) if "lvl" in numeric else None,
+        **{k: str(v) for k, v in directives.items()},
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        train_csv = os.path.join(tmp, "train.csv")
+        with open(train_csv, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for i in range(n):
+                writer.writerow([columns[c][i] for c in header])
+        cfg = os.path.join(tmp, "ingest.cfg")
+        with open(cfg, "w") as fh:
+            for key, value in settings_text.items():
+                if value is not None:
+                    fh.write(f"{key} = {value}\n")
+        out = os.path.join(tmp, "out")
+        common = ["--config", cfg, "--out", out]
+        assert run(["train", "--data", train_csv, "--kappa", "2", *common]) == 0
+        model_json = os.path.join(out, "model.json")
+        assert run(["predict", "--model", model_json, "--data", train_csv,
+                    *common]) == 0
+        assert run(["importance", "--model", model_json, "--data", train_csv,
+                    *common]) == 0
+        mdl = model.load_model(model_json)
+        schema = data.Schema(
+            response="y",
+            numeric=tuple(numeric),
+            categorical=tuple(categorical),
+            weight="w",
+            caps={k[4:]: v for k, v in directives.items() if k.startswith("cap:")},
+            floors={k[6:]: v for k, v in directives.items() if k.startswith("floor:")},
+            transforms={k[10:]: v for k, v in directives.items()
+                        if k.startswith("transform:")},
+            ordinal={"lvl": levels} if "lvl" in numeric else {},
+        )
+        ds = data.onehot_encode(data.load_csv(train_csv, schema))
+        mu = np.array([float(r["mu_hat"]) for r in read_rows(os.path.join(out, "predictions.csv"))])
+        assert np.array_equal(mu, mdl.predict_mu(ds.X))
+        fi = [float(r["mean_abs_beta"])
+              for r in read_rows(os.path.join(out, "importance_fi_star.csv"))]
+        assert np.array_equal(np.asarray(fi), boosting.fi_star(mdl, ds).raw)

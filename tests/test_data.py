@@ -257,3 +257,9 @@ def test_log_transform_declared(tmp_path):
     schema = toy_schema(transforms={"a": "log"})
     ds = data.load_csv(path, schema)
     np.testing.assert_allclose(ds.X[:, 0], np.log([10.0, 100.0]))
+    # a cell outside the transform's domain is rejected with coordinates
+    for transform, cell in (("log", 0.0), ("log1p", -2.0)):
+        write_csv(path, ["y", "w", "a", "b", "c"],
+                  [[1, 1, 3.0, 1.0, "x"], [1, 1, cell, 2.0, "x"]])
+        with pytest.raises(DataError, match="row 1, column 'a'"):
+            data.load_csv(path, toy_schema(transforms={"a": transform}))

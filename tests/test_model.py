@@ -29,7 +29,7 @@ def identity_space(p, names=None):
 
 def single_leaf_tree(value, n_features=1):
     t = tree.RegressionTree(n_features)
-    nid = t._add_node(0.0, 1)
+    nid = t._add_node(1)
     t.value[nid] = value
     t._freeze()
     return t
@@ -84,7 +84,7 @@ def test_beta_of_zero_trees_is_glm():
 def test_beta_of_hand_composed_tree():
     space = identity_space(1)
     cf = model.CoefficientFunction(
-        dim=0, beta_glm=0.3, epsilon=0.01, trees=[single_leaf_tree(2.0)]
+        beta_glm=0.3, epsilon=0.01, trees=[single_leaf_tree(2.0)]
     )
     mdl = model.TvcmModel(0.0, [cf], losses.GAUSSIAN, losses.IDENTITY, space)
     assert mdl.beta_of(np.array([[1.2]]))[0, 0] == pytest.approx(0.3 + 0.02)
@@ -121,8 +121,8 @@ def test_log_link_multiplicative_decomposition():
 def test_predict_all_zero_x_gives_inverse_link_of_intercept():
     space = identity_space(2)
     cfs = [
-        model.CoefficientFunction(dim=j, beta_glm=0.5, epsilon=0.01, trees=[])
-        for j in range(2)
+        model.CoefficientFunction(beta_glm=0.5, epsilon=0.01, trees=[])
+        for _ in range(2)
     ]
     mdl = model.TvcmModel(0.7, cfs, losses.GAUSSIAN, losses.IDENTITY, space)
     assert mdl.predict_mu(np.zeros((1, 2)))[0] == pytest.approx(0.7)
@@ -153,18 +153,15 @@ def test_zero_tree_reduction_invariant():
 
 def test_recalibrate_fixed_point_and_shift_invariance():
     ds, _ = data.simulate(data.SimulationSpec(n=3000, seed=10))
-    res = gaussian_fit(ds, kappa=10)
-    mdl = res.model
-    recal = model.recalibrate_intercept(mdl, ds)
-    assert recal.beta0 == pytest.approx(mdl.beta0, abs=1e-10)
-    # shift the intercept by a constant; recalibration absorbs it
-    shifted = model.TvcmModel(
-        mdl.beta0 + 3.7, mdl.coef, mdl.loss, mdl.link, mdl.space
-    )
-    back = model.recalibrate_intercept(shifted, ds)
-    np.testing.assert_allclose(
-        back.predict_mu(ds.X, ds.Z), recal.predict_mu(ds.X, ds.Z), atol=1e-10
-    )
+    mdl = gaussian_fit(ds, kappa=10).model
+    rest = mdl.linear_predictor(ds.X, ds.Z) - mdl.beta0
+    # a trained model's intercept is already the stationary one
+    beta0 = model.intercept_shift(mdl.loss, mdl.link, rest, ds.y, ds.w)
+    assert beta0 == pytest.approx(mdl.beta0, abs=1e-10)
+    # shifting the rest of the predictor by a constant shifts the
+    # recalibrated intercept back by the same constant
+    back = model.intercept_shift(mdl.loss, mdl.link, rest + 3.7, ds.y, ds.w)
+    assert back == pytest.approx(beta0 - 3.7, abs=1e-10)
 
 
 def test_poisson_balance_after_recalibration():
@@ -244,7 +241,7 @@ def test_load_rejects_malformed_document(tmp_path):
 
 def test_predict_overflow_names_row():
     space = identity_space(1)
-    cf = model.CoefficientFunction(dim=0, beta_glm=1.0, epsilon=1.0, trees=[])
+    cf = model.CoefficientFunction(beta_glm=1.0, epsilon=1.0, trees=[])
     mdl = model.TvcmModel(0.0, [cf], losses.POISSON, losses.LOG, space)
     X = np.array([[1.0], [900.0]])
     with pytest.raises(EtaOverflowError, match="row 1"):

@@ -36,8 +36,9 @@ def test_four_row_example_split():
     assert int(tree.feature[0]) == 0
     assert float(tree.threshold[0]) == pytest.approx(2.5)
     left, right = int(tree.left[0]), int(tree.right[0])
-    assert float(tree.grad_mean[left]) == -1.0
-    assert float(tree.grad_mean[right]) == 1.0
+    assert int(tree.count[left]) == 2
+    assert int(tree.count[right]) == 2
+    assert tree.assign(Z).tolist() == [left, left, right, right]
     assert float(tree.gain[0]) == pytest.approx(4.0)
     assert tree.split_gains() == {0: pytest.approx(4.0)}
 
@@ -48,7 +49,7 @@ def test_constant_gradients_single_leaf():
     tree = fit_partition(g, Z, TreeConfig(max_depth=2, min_samples_leaf=2))
     assert tree.n_nodes == 1
     assert tree.split_gains() == {}
-    assert float(tree.grad_mean[0]) == pytest.approx(0.37)
+    assert int(tree.count[0]) == 40
 
 
 def test_too_few_rows_single_leaf_not_error():
@@ -119,7 +120,7 @@ def test_split_determinism():
     t2 = fit_partition(g.copy(), Z.copy(), TreeConfig(2, 5))
     assert np.array_equal(t1.feature, t2.feature)
     assert np.array_equal(t1.threshold, t2.threshold, equal_nan=True)
-    assert np.array_equal(t1.grad_mean, t2.grad_mean)
+    assert np.array_equal(t1.count, t2.count)
     assert np.array_equal(t1.gain, t2.gain)
 
 
@@ -148,8 +149,9 @@ def test_route_single_leaf_and_tie_rule():
         losses.GAUSSIAN,
         losses.IDENTITY,
     )
-    for z in (-10.0, 0.0, 10.0):
-        assert single.route(np.array([z])) == pytest.approx(4.0)
+    queries = np.array([[-10.0], [0.0], [10.0]])
+    assert single.assign(queries).tolist() == [0, 0, 0]
+    np.testing.assert_allclose(single.predict(queries), 4.0)
 
 
 def test_route_four_row_example_after_adjust():
@@ -159,14 +161,15 @@ def test_route_four_row_example_after_adjust():
     adjust_leaves(
         tree, Z, np.ones(4), np.zeros(4), g, np.ones(4), losses.GAUSSIAN, losses.IDENTITY
     )
-    assert tree.route(np.array([1.0])) == pytest.approx(-1.0)
-    assert tree.route(np.array([4.0])) == pytest.approx(1.0)
+    np.testing.assert_allclose(tree.predict(np.array([[1.0], [4.0]])), [-1.0, 1.0])
 
 
 def test_route_arity_mismatch():
     tree, _, _ = four_row_tree()
     with pytest.raises(DomainError):
-        tree.route(np.array([1.0, 2.0]))
+        tree.assign(np.array([1.0, 2.0]))
+    with pytest.raises(DomainError):
+        tree.predict(np.zeros((3, 2)))
 
 
 def test_routing_matches_region_scan():
@@ -327,7 +330,7 @@ def test_serialization_round_trip():
     adjust_leaves(
         tree, Z, np.ones(4), np.zeros(4), g, np.ones(4), losses.GAUSSIAN, losses.IDENTITY
     )
-    clone = RegressionTree.from_dict(tree.to_dict(), dim=tree.dim)
+    clone = RegressionTree.from_dict(tree.to_dict())
     queries = np.linspace(-1, 6, 50)[:, None]
     assert np.array_equal(tree.predict(queries), clone.predict(queries))
     assert clone.split_gains() == tree.split_gains()
