@@ -1,14 +1,16 @@
-"""Cyclic training loop, dimension-wise early stopping, feature importance.
+"""Cyclic boosting loop, dimension-wise early stopping, feature importance.
 
-Training adds one tree per coefficient dimension per cycle, in ascending
-dimension order, each fitted to directional gradients recomputed from
-the live linear predictor. Tuning runs the same loop on a train half
-and accepts a candidate tree only when it lowers the loss on the
+Training and tuning run one cyclic loop. Each cycle fits one candidate
+tree per open dimension, in ascending dimension order, to directional
+gradients recomputed from the live linear predictor. An acceptance rule
+decides whether the candidate is applied; rejected candidates are
+discarded entirely. A dimension closes at its tree-count cap or after
+``patience`` consecutive rejections. Training accepts every candidate,
+so it adds exactly kappa_j trees to dimension j. Tuning runs the loop on
+a train half and accepts a candidate only when it lowers the loss on the
 validation half by more than a noise margin (``acceptance_z`` standard
-errors of its first-order loss delta; z = 0 is plain strict decrease);
-a dimension closes after ``patience`` consecutive rejections and
-rejected candidates are discarded entirely. Fitted models and tune
-results are immutable outputs.
+errors of its first-order loss delta; z = 0 is plain strict decrease).
+Fitted models and tune results are immutable outputs.
 """
 
 from __future__ import annotations
@@ -105,7 +107,6 @@ class TraceRow:
 class TuneResult:
     kappa: np.ndarray
     trace: list[TraceRow]
-    split_seed: int
 
 
 @dataclass
@@ -149,8 +150,9 @@ def _resolve_modifier_sets(config: BoostConfig, ds: Dataset) -> list[np.ndarray]
 
 
 class _CycleState:
-    """Mutable trainer state over one dataset: cached eta, presorted
-    modifier columns per unique subset, accumulated trees."""
+    """Mutable trainer state over one dataset: cached eta and training
+    loss, presorted modifier columns per unique subset, accumulated
+    trees."""
 
     def __init__(self, ds: Dataset, glm: GlmCoefficients, config: BoostConfig,
                  loss, link, modifier_sets):
@@ -159,21 +161,21 @@ class _CycleState:
         self.link = link
         self.config = config
         self.eps = config.epsilon_vector(ds.p)
-        self.modifier_sets = modifier_sets
         self.x_cols = [np.ascontiguousarray(ds.X[:, j]) for j in range(ds.p)]
         self.eta = glm_linear_predictor(glm, ds.X)
         self.trees: list[list] = [[] for _ in range(ds.p)]
         self._assign_buf = np.empty(ds.n, dtype=np.int32)
-        self._subset_cache: dict[tuple, tuple] = {}
+        self._train_loss: float | None = None
+        subsets: dict[tuple, tuple] = {}
         self._zsub: list[np.ndarray] = []
         self._presorted: list[list[np.ndarray]] = []
         for idx in modifier_sets:
             key = tuple(idx.tolist())
-            if key not in self._subset_cache:
+            if key not in subsets:
                 # column-major: the split scan gathers whole columns
                 sub = np.asfortranarray(ds.Z[:, idx])
-                self._subset_cache[key] = (sub, presort_columns(sub))
-            sub, pre = self._subset_cache[key]
+                subsets[key] = (sub, presort_columns(sub))
+            sub, pre = subsets[key]
             self._zsub.append(sub)
             self._presorted.append(pre)
 
@@ -201,9 +203,55 @@ class _CycleState:
                 f"dimension {j} ({self.ds.x_names[j]})"
             )
         self.trees[j].append(tree)
+        self._train_loss = None
 
     def train_loss(self) -> float:
-        return loss_total(self.loss, self.link, self.eta, self.ds.y, self.ds.w)
+        """Training loss at the current eta; computed once per eta."""
+        if self._train_loss is None:
+            self._train_loss = loss_total(
+                self.loss, self.link, self.eta, self.ds.y, self.ds.w
+            )
+        return self._train_loss
+
+
+def _run_cycles(state: _CycleState, kappa_max: np.ndarray, accept,
+                patience: int = 1) -> list[TraceRow]:
+    """The cyclic loop shared by training and tuning.
+
+    Each cycle fits one candidate per open dimension, in ascending
+    order, and asks ``accept(j, tree)`` for ``(accepted, valid_loss)``.
+    An accepted candidate is applied to ``state``; a rejected one is
+    discarded. Dimension j closes after ``kappa_max[j]`` cycles or after
+    ``patience`` consecutive rejections (a rule that accepts every
+    candidate never reaches it). Returns one trace row per candidate.
+    """
+    rejections = np.zeros(state.ds.p, dtype=np.int64)
+    open_dim = kappa_max > 0
+    trace: list[TraceRow] = []
+    cycle = 0
+    while np.any(open_dim):
+        cycle += 1
+        for j in np.flatnonzero(open_dim).tolist():
+            tree, leaf_of = state.fit_candidate(j)
+            accepted, valid_loss = accept(j, tree)
+            if accepted:
+                state.apply(j, tree, leaf_of, cycle)
+                rejections[j] = 0
+            else:
+                rejections[j] += 1
+                if rejections[j] >= patience:
+                    open_dim[j] = False
+            trace.append(
+                TraceRow(
+                    cycle=cycle,
+                    dimension=state.ds.x_names[j],
+                    train_loss=state.train_loss(),
+                    valid_loss=valid_loss,
+                    accepted=accepted,
+                )
+            )
+        open_dim &= cycle < kappa_max
+    return trace
 
 
 def _build_space(ds: Dataset, scaler, modifier_sets) -> FeatureSpace:
@@ -226,30 +274,16 @@ def train(
 ) -> tuple[TvcmModel, list[TraceRow]]:
     """Cyclic training at fixed per-dimension tree counts.
 
-    ``dataset`` must be encoded and standardized with ``scaler``. The
-    intercept is recalibrated once, after all boosting. Returns the
+    ``dataset`` must be encoded and standardized with ``scaler``. Every
+    candidate is accepted, so dimension j gets exactly kappa_j trees.
+    The intercept is recalibrated once, after all boosting. Returns the
     model plus the per-(cycle, dimension) training-loss trace.
     """
     check_canonical(loss, link)
     kappa = config.kappa_vector(dataset.p)
     modifier_sets = _resolve_modifier_sets(config, dataset)
     state = _CycleState(dataset, glm, config, loss, link, modifier_sets)
-    trace: list[TraceRow] = []
-    for cycle in range(1, int(kappa.max(initial=0)) + 1):
-        for j in range(dataset.p):
-            if cycle > kappa[j]:
-                continue
-            tree, leaf_of = state.fit_candidate(j)
-            state.apply(j, tree, leaf_of, cycle)
-            trace.append(
-                TraceRow(
-                    cycle=cycle,
-                    dimension=dataset.x_names[j],
-                    train_loss=state.train_loss(),
-                    valid_loss=None,
-                    accepted=True,
-                )
-            )
+    trace = _run_cycles(state, kappa, lambda j, tree: (True, None))
     beta0 = intercept_shift(
         loss, link, state.eta - glm.beta0, dataset.y, dataset.w
     )
@@ -267,26 +301,22 @@ def train(
 
 def tune_kappa(
     dataset: Dataset,
-    glm: GlmCoefficients,
     config: BoostConfig,
     stopping: StoppingConfig,
     loss,
     link,
-    refit_glm: bool = True,
 ) -> TuneResult:
     """Dimension-wise early stopping on a train/validation split.
 
-    The cyclic loop runs on the train part; after fitting each
-    candidate tree the validation loss is evaluated with the tree
-    applied and the tree is kept only if that loss drops by more than
-    ``stopping.acceptance_z`` times the standard error of the tree's
-    first-order validation loss delta (z = 0: any strict decrease).
-    ``patience`` consecutive rejections close a dimension. The returned
-    kappa counts accepted trees; rejected candidates leave no footprint.
-
-    By default the GLM initialization is refitted on the train part, so
-    the loop starts at the stationary point of its own data; pass
-    ``refit_glm=False`` to initialize from the supplied coefficients.
+    The GLM initialization is fitted on the train part, so the loop
+    starts at the stationary point of its own data. The cyclic loop then
+    runs on the train part, capped at ``config.kappa`` trees per
+    dimension. Each candidate is kept only if the validation loss with
+    the tree applied drops by more than ``stopping.acceptance_z`` times
+    the standard error of the tree's first-order validation loss delta
+    (z = 0: any strict decrease). ``patience`` consecutive rejections
+    close a dimension. The returned kappa counts accepted trees;
+    rejected candidates leave no footprint.
     """
     check_canonical(loss, link)
     kappa_max = config.kappa_vector(dataset.p)
@@ -297,62 +327,38 @@ def tune_kappa(
         raise ConfigError(
             f"degenerate train/validation split ({ds_tr.n}/{ds_va.n} rows)"
         )
-    if refit_glm:
-        glm = fit_glm(ds_tr, loss, link)
+    glm = fit_glm(ds_tr, loss, link)
     state = _CycleState(ds_tr, glm, config, loss, link, modifier_sets)
 
-    def score_at(eta):
-        # dL/deta per validation row, for the acceptance noise margin
-        mu = link.inverse(eta)
-        return loss.deriv_mu(mu, ds_va.y, ds_va.w) * link.inverse_deriv(eta)
     va_zsub = [modifier_columns(ds_va.Z, idx) for idx in modifier_sets]
     va_xcols = [np.ascontiguousarray(ds_va.X[:, j]) for j in range(ds_va.p)]
     eta_va = glm_linear_predictor(glm, ds_va.X)
     loss_va = loss_total(loss, link, eta_va, ds_va.y, ds_va.w)
 
-    kappa = np.zeros(dataset.p, dtype=np.int64)
-    rejections = np.zeros(dataset.p, dtype=np.int64)
-    open_dim = kappa_max > 0
-    trace: list[TraceRow] = []
-    cycle = 0
-    while np.any(open_dim):
-        cycle += 1
-        remaining = np.flatnonzero(open_dim & (cycle <= kappa_max))
-        if remaining.size == 0:
-            break
-        for j in remaining:
-            tree, leaf_of = state.fit_candidate(j)
-            delta_va = state.eps[j] * tree.predict(va_zsub[j]) * va_xcols[j]
-            eta_va_new = eta_va + delta_va
-            loss_va_new = loss_total(loss, link, eta_va_new, ds_va.y, ds_va.w)
-            margin = 0.0
-            if stopping.acceptance_z > 0.0:
-                contrib = score_at(eta_va) * delta_va
-                margin = stopping.acceptance_z * float(
-                    np.sqrt(np.sum(contrib * contrib))
-                )
-            accepted = loss_va_new < loss_va - margin
-            if accepted:
-                state.apply(j, tree, leaf_of, cycle)
-                eta_va = eta_va_new
-                loss_va = loss_va_new
-                kappa[j] += 1
-                rejections[j] = 0
-            else:
-                rejections[j] += 1
-                if rejections[j] >= stopping.patience:
-                    open_dim[j] = False
-            trace.append(
-                TraceRow(
-                    cycle=cycle,
-                    dimension=dataset.x_names[j],
-                    train_loss=state.train_loss(),
-                    valid_loss=loss_va_new,
-                    accepted=bool(accepted),
-                )
+    def validate(j, tree):
+        nonlocal eta_va, loss_va
+        delta_va = state.eps[j] * tree.predict(va_zsub[j]) * va_xcols[j]
+        eta_va_new = eta_va + delta_va
+        loss_va_new = loss_total(loss, link, eta_va_new, ds_va.y, ds_va.w)
+        margin = 0.0
+        if stopping.acceptance_z > 0.0:
+            # dL/deta per validation row times the delta: the noise margin
+            score = loss.deriv_mu(
+                link.inverse(eta_va), ds_va.y, ds_va.w
+            ) * link.inverse_deriv(eta_va)
+            contrib = score * delta_va
+            margin = stopping.acceptance_z * float(
+                np.sqrt(np.sum(contrib * contrib))
             )
-        open_dim &= cycle < kappa_max
-    return TuneResult(kappa=kappa, trace=trace, split_seed=stopping.seed)
+        accepted = bool(loss_va_new < loss_va - margin)
+        if accepted:
+            eta_va = eta_va_new
+            loss_va = loss_va_new
+        return accepted, loss_va_new
+
+    trace = _run_cycles(state, kappa_max, validate, stopping.patience)
+    kappa = np.asarray([len(t) for t in state.trees], dtype=np.int64)
+    return TuneResult(kappa=kappa, trace=trace)
 
 
 @dataclass
@@ -382,7 +388,7 @@ def fit_tvcm(
     cfg = config
     tune = None
     if stopping is not None:
-        tune = tune_kappa(ds_std, glm, cfg, stopping, loss, link)
+        tune = tune_kappa(ds_std, cfg, stopping, loss, link)
         cfg = replace(cfg, kappa=tuple(int(k) for k in tune.kappa))
     model, trace = train(ds_std, glm, cfg, loss, link, scaler)
     return FitResult(model=model, glm=glm, tune=tune, train_trace=trace)

@@ -249,7 +249,12 @@ def cmd_simulate(st: Settings) -> None:
     print(f"simulate: wrote {n} rows (seed {seed}) to {out}")
 
 
-def _tune(st: Settings, ds_enc: data.Dataset):
+def cmd_tune(st: Settings) -> None:
+    path = st.get_str("data")
+    if not path:
+        raise ConfigError("tune requires --data")
+    out = _out_dir(st)
+    ds_enc, _ = load_encoded(st, path)
     loss, link = loss_link(st)
     config = boost_config(st, kappa=st.get_int("max_kappa", 1500))
     stopping = boosting.StoppingConfig(
@@ -258,29 +263,16 @@ def _tune(st: Settings, ds_enc: data.Dataset):
         seed=st.get_int("seed", 0),
         acceptance_z=st.get_float("acceptance_z", 0.0),
     )
-    ds_std, scaler = data.standardize(ds_enc)
-    glm = model_mod.fit_glm(ds_std, loss, link)
-    result = boosting.tune_kappa(ds_std, glm, config, stopping, loss, link)
-    return result, glm, config, stopping
-
-
-def cmd_tune(st: Settings) -> None:
-    path = st.get_str("data")
-    if not path:
-        raise ConfigError("tune requires --data")
-    out = _out_dir(st)
-    ds_enc, _ = load_encoded(st, path)
     print(
-        f"tune: profile={st.profile_name} max_depth={st.get_int('max_depth', 2)} "
-        f"min_samples_leaf={st.get_int('min_samples_leaf', 10)} "
-        f"epsilon={st.get_float('epsilon', 0.01)} "
-        f"max_kappa={st.get_int('max_kappa', 1500)} "
-        f"patience={st.get_int('patience', 20)} "
-        f"validation_fraction={st.get_float('validation_fraction', 0.5)} "
-        f"acceptance_z={st.get_float('acceptance_z', 0.0)} "
-        f"seed={st.get_int('seed', 0)}"
+        f"tune: profile={st.profile_name} max_depth={config.tree.max_depth} "
+        f"min_samples_leaf={config.tree.min_samples_leaf} "
+        f"epsilon={config.epsilon} max_kappa={config.kappa} "
+        f"patience={stopping.patience} "
+        f"validation_fraction={stopping.validation_fraction} "
+        f"acceptance_z={stopping.acceptance_z} seed={stopping.seed}"
     )
-    result, _, _, _ = _tune(st, ds_enc)
+    ds_std, _ = data.standardize(ds_enc)
+    result = boosting.tune_kappa(ds_std, config, stopping, loss, link)
     write_csv(
         os.path.join(out, "kappa.csv"),
         ["dimension", "kappa"],

@@ -47,7 +47,7 @@ def study():
     std, scaler = data.standardize(train_ds)
     glm = model.fit_glm(std, losses.GAUSSIAN, losses.IDENTITY)
     tune = boosting.tune_kappa(
-        std, glm, SIM_CONFIG, _stopping(STOP_SEEDS[0]),
+        std, SIM_CONFIG, _stopping(STOP_SEEDS[0]),
         losses.GAUSSIAN, losses.IDENTITY,
     )
     cfg = dataclasses.replace(SIM_CONFIG, kappa=tuple(int(k) for k in tune.kappa))
@@ -96,11 +96,10 @@ def study():
 def tuning_seeds(study):
     """kappa vectors from the A1 tuning repeated over five seeds."""
     std, _ = data.standardize(study["train"])
-    glm = study["glm"]
     kappas = [study["tune"].kappa]
     for seed in STOP_SEEDS[1:]:
         res = boosting.tune_kappa(
-            std, glm, SIM_CONFIG, _stopping(seed), losses.GAUSSIAN, losses.IDENTITY
+            std, SIM_CONFIG, _stopping(seed), losses.GAUSSIAN, losses.IDENTITY
         )
         kappas.append(res.kappa)
     return kappas

@@ -129,9 +129,6 @@ def test_cached_eta_matches_recomputation():
     # recalibration can only decrease the loss
     assert recomputed_loss <= eta_cached_loss + 1e-10
     # and the model's eta equals the incremental eta to within drift
-    state_eta = glm.beta0 + std.X @ glm.beta
-    for r, cf in [(t, c) for c in mdl.coef for t in c.trees]:
-        pass  # rebuilt below dimension by dimension
     rebuilt = glm.beta0 + std.X @ glm.beta
     for j, cf in enumerate(mdl.coef):
         acc = np.zeros(ds.n)
@@ -155,9 +152,6 @@ def test_training_determinism():
 
 
 def test_tune_rejects_degenerate_split():
-    ds, _ = sim_encoded(n=100)
-    std, _ = data.standardize(ds)
-    glm = model.fit_glm(std, losses.GAUSSIAN, losses.IDENTITY)
     cfg = boosting.BoostConfig(kappa=5, tree=tree.TreeConfig(2, 10))
     with pytest.raises(ConfigError):
         boosting.StoppingConfig(validation_fraction=1.0)
@@ -165,7 +159,6 @@ def test_tune_rejects_degenerate_split():
     with pytest.raises(ConfigError):
         boosting.tune_kappa(
             tiny,
-            glm,
             cfg,
             boosting.StoppingConfig(validation_fraction=0.4, seed=0),
             losses.GAUSSIAN,
@@ -178,9 +171,8 @@ def test_tune_trace_bookkeeping():
     stopping = boosting.StoppingConfig(patience=5, seed=7)
     cfg = boosting.BoostConfig(kappa=25, tree=tree.TreeConfig(2, 10))
     std, _ = data.standardize(ds)
-    glm = model.fit_glm(std, losses.GAUSSIAN, losses.IDENTITY)
     result = boosting.tune_kappa(
-        std, glm, cfg, stopping, losses.GAUSSIAN, losses.IDENTITY
+        std, cfg, stopping, losses.GAUSSIAN, losses.IDENTITY
     )
     accepted = {name: 0 for name in ds.x_names}
     for row in result.trace:
@@ -325,3 +317,89 @@ def test_trace_csv_export(tmp_path):
     first = lines[1].split(",")
     assert first[1] in ds.x_names
     assert first[4] in ("0", "1")
+
+
+def test_train_schedule_order():
+    # one tree per open dimension per cycle, ascending dimensions;
+    # dimension j closes after kappa_j cycles
+    rng = np.random.default_rng(41)
+    n = 500
+    X = rng.standard_normal((n, 4))
+    y = X @ np.array([0.5, -0.3, 0.2, 0.1]) + X[:, 0] * X[:, 1] + rng.standard_normal(n)
+    ds = data.Dataset(y=y, w=np.ones(n), X=X, x_names=["a", "b", "c", "d"])
+    res = fit(ds, kappa=(0, 3, 1, 2))
+    order = [(r.cycle, r.dimension) for r in res.train_trace]
+    assert order == [(1, "b"), (1, "c"), (1, "d"), (2, "b"), (2, "d"), (3, "b")]
+    assert all(r.accepted and r.valid_loss is None for r in res.train_trace)
+
+
+def test_tune_schedule_closes_on_patience():
+    # pure noise with a short patience: dimensions close on rejections
+    # long before the cap, and a closed dimension gets no further rows
+    rng = np.random.default_rng(3)
+    n = 4000
+    X = rng.standard_normal((n, 3))
+    y = 0.6 * X[:, 0] * (X[:, 1] > 0) + rng.standard_normal(n)
+    ds = data.Dataset(y=y, w=np.ones(n), X=X, x_names=["a", "b", "c"])
+    std, _ = data.standardize(ds)
+    patience, cap = 3, 30
+    cfg = boosting.BoostConfig(kappa=cap, tree=tree.TreeConfig(2, 10))
+    result = boosting.tune_kappa(
+        std,
+        cfg,
+        boosting.StoppingConfig(patience=patience, seed=2, acceptance_z=1.0),
+        losses.GAUSSIAN,
+        losses.IDENTITY,
+    )
+    closed_on_patience = 0
+    for name in ds.x_names:
+        rows = [r for r in result.trace if r.dimension == name]
+        # one row per cycle while open, from cycle 1 on
+        assert [r.cycle for r in rows] == list(range(1, len(rows) + 1))
+        run = 0
+        for k, r in enumerate(rows):
+            run = 0 if r.accepted else run + 1
+            if run == patience:
+                # the dimension closed here: this is its last row
+                assert k == len(rows) - 1
+                closed_on_patience += 1
+        if run < patience:
+            assert len(rows) == cap
+    assert closed_on_patience >= 1
+    # within each cycle, rows come in ascending dimension order
+    pos = {n: i for i, n in enumerate(ds.x_names)}
+    for cycle in {r.cycle for r in result.trace}:
+        dims = [pos[r.dimension] for r in result.trace if r.cycle == cycle]
+        assert dims == sorted(dims) and len(set(dims)) == len(dims)
+
+
+def test_tune_reuses_train_loss_after_rejection(monkeypatch):
+    # a rejected candidate leaves eta unchanged, so its trace row reuses
+    # the last training loss instead of evaluating the train half again
+    ds, _ = sim_encoded(n=3000, seed=9)
+    std, _ = data.standardize(ds)
+    stopping = boosting.StoppingConfig(
+        validation_fraction=0.4, patience=4, seed=1, acceptance_z=1.0
+    )
+    n_train = data.split(std, (0.6, 0.4), stopping.seed)[0].n
+    assert n_train != std.n - n_train
+    calls = []
+    real = boosting.loss_total
+
+    def counting(loss, link, eta, y, w):
+        calls.append(len(y))
+        return real(loss, link, eta, y, w)
+
+    monkeypatch.setattr(boosting, "loss_total", counting)
+    cfg = boosting.BoostConfig(kappa=15, tree=tree.TreeConfig(2, 10))
+    result = boosting.tune_kappa(
+        std, cfg, stopping, losses.GAUSSIAN, losses.IDENTITY
+    )
+    accepted = int(result.kappa.sum())
+    rejected = len(result.trace) - accepted
+    assert rejected > 1
+    assert calls.count(n_train) <= 1 + accepted
+    # the reused value is the one a fresh evaluation would give
+    for prev, row in zip(result.trace, result.trace[1:]):
+        if not row.accepted:
+            assert row.train_loss == prev.train_loss
