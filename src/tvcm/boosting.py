@@ -23,7 +23,7 @@ import numpy as np
 
 from .data import Dataset, split, standardize
 from .errors import ConfigError, FitError
-from .losses import check_canonical, loss_total
+from .losses import check_canonical, intercept_shift, loss_total
 from .model import (
     CoefficientFunction,
     FeatureSpace,
@@ -31,7 +31,6 @@ from .model import (
     TvcmModel,
     fit_glm,
     glm_linear_predictor,
-    intercept_shift,
     modifier_columns,
 )
 from .tree import TreeConfig, fit_gradient_tree, presort_columns

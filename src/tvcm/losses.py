@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, EtaOverflowError
+from .errors import ConfigError, DomainError, EtaOverflowError, FitError
 
 # exp() saturates float64 a little above 709; stop well before that
 ETA_MAX = 700.0
@@ -140,7 +140,7 @@ def check_canonical(loss, link) -> None:
 
 
 def check_eta(eta, context: str = "") -> None:
-    """Raise if a linear predictor would overflow exp().
+    """Raise if a linear predictor would overflow exp() or underflow it to 0.
 
     Only meaningful under the log link; identity-link callers skip it.
     """
@@ -151,11 +151,14 @@ def check_eta(eta, context: str = "") -> None:
             f"non-finite linear predictor at row {bad}"
             + (f" ({context})" if context else "")
         )
-    if eta.size and float(np.max(eta)) > ETA_MAX:
-        bad = int(np.argmax(eta))
+    mag = np.abs(eta)
+    if eta.size and float(np.max(mag)) > ETA_MAX:
+        bad = int(np.argmax(mag))
+        value = float(eta.flat[bad])
         raise EtaOverflowError(
-            f"linear predictor {float(eta.flat[bad]):.3g} at row {bad} "
-            "overflows exp(); model state is divergent"
+            f"linear predictor {value:.3g} at row {bad} "
+            f"{'overflows' if value > 0 else 'underflows'} exp(); "
+            "model state is divergent"
             + (f" ({context})" if context else "")
         )
 
@@ -183,3 +186,21 @@ def loss_total(loss, link, eta, y, w) -> float:
     """
     mu = link.inverse(np.asarray(eta, dtype=float))
     return float(np.sum(loss.value(mu, y, w), dtype=np.longdouble))
+
+
+def intercept_shift(loss, link, partial_eta, y, w) -> float:
+    """Stationary intercept given the rest of the linear predictor.
+
+    Closed forms exist for both canonical pairs (they are the exact
+    limits of the 1-D Newton iteration), so the balance property holds
+    to machine precision.
+    """
+    y = np.asarray(y, dtype=float)
+    w = np.broadcast_to(np.asarray(w, dtype=float), y.shape)
+    if link.kind == "identity":
+        return float(np.sum(w * (y - partial_eta))) / float(np.sum(w))
+    check_eta(partial_eta, context="intercept recalibration")
+    wy = float(np.sum(w * y))
+    if wy <= 0:
+        raise FitError("intercept recalibration needs a positive response total")
+    return float(np.log(wy) - np.log(np.sum(w * np.exp(partial_eta))))

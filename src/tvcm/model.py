@@ -18,6 +18,7 @@ import numpy as np
 from .data import Dataset, Standardizer
 from .errors import DataError, FitError, ModelFormatError
 from .losses import check_canonical, check_eta, get_link, get_loss, loss_total
+from .losses import intercept_shift  # noqa: F401  (kept as model.intercept_shift)
 from .tree import RegressionTree
 
 MODEL_FORMAT_VERSION = 1
@@ -300,24 +301,6 @@ def fit_glm(dataset: Dataset, loss, link) -> GlmCoefficients:
 
 def glm_linear_predictor(glm: GlmCoefficients, X_std: np.ndarray) -> np.ndarray:
     return glm.beta0 + X_std @ glm.beta
-
-
-def intercept_shift(loss, link, partial_eta, y, w) -> float:
-    """Stationary intercept given the rest of the linear predictor.
-
-    Closed forms exist for both canonical pairs (they are the exact
-    limits of the 1-D Newton iteration), so the balance property holds
-    to machine precision.
-    """
-    y = np.asarray(y, dtype=float)
-    w = np.broadcast_to(np.asarray(w, dtype=float), y.shape)
-    if link.kind == "identity":
-        return float(np.sum(w * (y - partial_eta))) / float(np.sum(w))
-    check_eta(partial_eta, context="intercept recalibration")
-    wy = float(np.sum(w * y))
-    if wy <= 0:
-        raise FitError("intercept recalibration needs a positive response total")
-    return float(np.log(wy) - np.log(np.sum(w * np.exp(partial_eta))))
 
 
 # -- serialization -------------------------------------------------------------

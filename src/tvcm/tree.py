@@ -1,28 +1,33 @@
 """Least-squares regression trees over effect-modifier space.
 
 Trees are fitted greedily to gradient vectors (squared-error splits) and
-then get their leaf values replaced by one-dimensional line-searched
-steps on the actual loss. Candidate thresholds are midpoints between
-consecutive distinct sorted feature values; among equal-gain splits the
-lowest feature index wins, then the lowest threshold, and values equal
-to a threshold route left. Fitted trees are immutable once published;
-``assign``/``predict``/``split_gains`` are read-only and safe to share.
+then get each leaf value set to the exact minimiser of the loss along
+the leaf's coefficient direction, in closed form where one exists and by
+bracketed Newton on the derivative otherwise (see ``adjust_leaves``).
+Candidate thresholds are midpoints between consecutive distinct sorted
+feature values; among equal-gain splits the lowest feature index wins,
+then the lowest threshold, and values equal to a threshold route left.
+Fitted trees are immutable once published; ``assign``/``predict``/
+``split_gains`` are read-only and safe to share.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .losses import directional_gradient
+from .losses import directional_gradient, intercept_shift
 
 logger = logging.getLogger("tvcm")
 
 # relative floor below which a split gain is numerical noise, not signal
 _GAIN_REL_EPS = 1e-12
+# Newton iterations before a leaf step settles for its best bracketed point
+_LEAF_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -103,25 +108,22 @@ class RegressionTree:
     def assign(self, Z) -> np.ndarray:
         """Leaf node id for every row of Z (deterministic descent)."""
         Z = np.asarray(Z, dtype=float)
-        one_row = Z.ndim == 1
-        if one_row:
+        if Z.ndim == 1:
             Z = Z[None, :]
         if Z.ndim != 2 or Z.shape[1] != self.n_features:
             raise DomainError(
                 f"modifier row has arity {Z.shape[-1]}, tree expects "
                 f"{self.n_features}"
             )
-        node = np.zeros(Z.shape[0], dtype=np.int32)
-        for _ in range(self.n_nodes):
-            feat = self.feature[node]
-            active = np.flatnonzero(feat >= 0)
-            if active.size == 0:
-                break
-            sub = node[active]
-            vals = Z[active, feat[active]]
-            go_left = vals <= self.threshold[sub]
-            node[active] = np.where(go_left, self.left[sub], self.right[sub])
-        return node
+
+        def descend(node):
+            f = self.feature[node]
+            if f < 0:
+                return node
+            left, right = descend(self.left[node]), descend(self.right[node])
+            return np.where(Z[:, f] <= self.threshold[node], left, right)
+
+        return np.broadcast_to(descend(0), Z.shape[:1]).astype(np.int32)
 
     def predict(self, Z) -> np.ndarray:
         return self.value[self.assign(Z)]
@@ -289,51 +291,53 @@ def fit_partition(
 
 
 def _newton_gamma(x, eta, y, w, loss, link) -> float:
-    """Safeguarded 1-D Newton for the leaf step on a convex objective.
+    """Exact Poisson/log leaf step, found without evaluating the loss.
 
-    Starts at gamma = 0, halves the step when the loss fails to
-    decrease, converges when |step| <= 1e-10 * (1 + |gamma|), and falls
-    back to 0 after 50 iterations without convergence.
+    The derivative of the leaf loss in gamma, d1 = 2*sum(w*x*(exp(eta +
+    gamma*x) - y)), is strictly increasing; rows have x != 0.
+
+    - sum(w*y) == 0 and x of one sign: d1 never changes sign, so no
+      finite minimiser exists; return 0.
+    - constant x == c: the closed form ``intercept_shift(...) / c``.
+    - otherwise: Newton on d1 inside the sign bracket [lo, hi] that each
+      evaluation narrows, bisecting when a step leaves it. A step with
+      no bracket on its far side moves eta by at most a reach that
+      doubles each time it binds. Without convergence, return the
+      evaluated gamma with the smallest |d1|.
     """
-
-    def f_at(gamma):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return float(np.sum(loss.value(link.inverse(eta + gamma * x), y, w)))
-
-    gamma = 0.0
-    f_cur = f_at(0.0)
-    converged = False
-    for _ in range(50):
-        eta_g = eta + gamma * x
-        with np.errstate(over="ignore"):
-            mu = link.inverse(eta_g)
-            d1 = float(
-                np.sum(x * loss.deriv_mu(mu, y, w) * link.inverse_deriv(eta_g))
-            )
-            d2 = float(np.sum(2.0 * w * x * x * mu))  # canonical Poisson+log
-        if not np.isfinite(d1) or not np.isfinite(d2) or d2 <= 0.0:
-            break
-        step = -d1 / d2
-        if abs(step) <= 1e-10 * (1.0 + abs(gamma)):
-            converged = True
-            break
-        moved = False
-        for _ in range(60):
-            f_new = f_at(gamma + step)
-            if np.isfinite(f_new) and f_new <= f_cur:
-                gamma += step
-                f_cur = f_new
-                moved = True
-                break
-            step *= 0.5
-        if not moved:
-            break
-    if not converged:
-        logger.warning(
-            "leaf step search did not converge after 50 iterations; using 0"
-        )
+    if float(np.sum(w * y)) == 0.0 and float(np.min(x)) * float(np.max(x)) > 0.0:
         return 0.0
-    return gamma
+    if np.all(x == x[0]):
+        return intercept_shift(loss, link, eta, y, w) / float(x[0])
+    wx = w * x
+    wxy = wx * y
+    reach = 1.0 / float(np.max(np.abs(x)))
+    lo, hi = -math.inf, math.inf
+    gamma, best, best_d1 = 0.0, 0.0, math.inf
+    for _ in range(_LEAF_MAX_ITER):
+        with np.errstate(over="ignore"):
+            m = wx * np.exp(eta + gamma * x)
+            d1 = float(np.sum(m - wxy))  # d1 / 2
+            d2 = float(np.sum(m * x))  # d1' / 2, > 0
+        if d1 == 0.0:
+            return gamma
+        if abs(d1) < best_d1:
+            best, best_d1 = gamma, abs(d1)
+        if d1 > 0.0:
+            hi = gamma
+        else:
+            lo = gamma
+        step = -d1 / d2 if 0.0 < d2 < math.inf else -math.copysign(math.inf, d1)
+        if abs(step) > reach:
+            step = math.copysign(reach, step)
+            reach *= 2.0
+        nxt = gamma + step
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - gamma) <= 1e-12 * (1.0 + abs(gamma)):
+            return nxt
+        gamma = nxt
+    return best
 
 
 def adjust_leaves(
@@ -349,12 +353,15 @@ def adjust_leaves(
 ) -> RegressionTree:
     """Set each leaf value to the loss-minimizing unshrunk step.
 
-    For the Gaussian/identity pair the minimizer is the closed form
-    sum(w*x*(y - eta)) / sum(w*x^2); otherwise a safeguarded Newton
-    search runs on the rows of the leaf. Rows with x == 0 contribute a
-    constant and are dropped from the search, so an all-zero-x leaf gets
-    value 0. The adjusted value never increases the leaf-local loss
-    relative to 0.
+    Rows with x == 0 contribute a constant and are dropped, so an
+    all-zero-x leaf gets value 0. For the Gaussian/identity pair the
+    step is the closed form sum(w*x*(y - eta)) / sum(w*x^2). For the
+    Poisson/log pair ``_newton_gamma`` takes one of three paths: 0 for a
+    leaf with no response and x of one sign, the intercept closed form
+    divided by x for a constant-x leaf, and bracketed Newton on the
+    derivative otherwise. A final guard compares the leaf-local loss at
+    the step and at 0; if the step would increase it, the leaf keeps 0
+    and a warning is logged.
     """
     x_col = np.asarray(x_col, dtype=float)
     eta = np.asarray(eta, dtype=float)

@@ -248,6 +248,16 @@ def test_predict_overflow_names_row():
         mdl.predict_mu(X)
 
 
+def test_predict_underflow_names_row():
+    # exp(-800) is 0.0 in float64: a zero mean, not a tiny one
+    space = identity_space(1)
+    cf = model.CoefficientFunction(beta_glm=1.0, epsilon=1.0, trees=[])
+    mdl = model.TvcmModel(0.0, [cf], losses.POISSON, losses.LOG, space)
+    X = np.array([[1.0], [-800.0], [2.0]])
+    with pytest.raises(EtaOverflowError, match=r"-800 at row 1 underflows .*\(predict\)"):
+        mdl.predict_mu(X)
+
+
 def test_arity_mismatch_is_contract_violation():
     ds, _ = data.simulate(data.SimulationSpec(n=500, seed=17))
     res = gaussian_fit(ds, kappa=0)

@@ -1,5 +1,9 @@
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     exhaustive_depth2_sse,
@@ -12,7 +16,13 @@ from helpers import (
 )
 from tvcm import losses
 from tvcm.errors import DomainError
-from tvcm.tree import RegressionTree, TreeConfig, adjust_leaves, fit_partition
+from tvcm.tree import (
+    RegressionTree,
+    TreeConfig,
+    _newton_gamma,
+    adjust_leaves,
+    fit_partition,
+)
 
 
 def four_row_tree(config=None):
@@ -275,6 +285,102 @@ def test_adjust_never_increases_leaf_loss(pair):
                 )
             )
             assert after <= before + 1e-12
+
+
+def poisson_leaf_step(x, eta, y, w):
+    """Value adjust_leaves gives a one-leaf tree over these rows."""
+    n = len(x)
+    tree = fit_partition(np.zeros(n), np.zeros((n, 1)), TreeConfig(1, n))
+    adjust_leaves(
+        tree, np.zeros((n, 1)), x, eta, y, w, losses.POISSON, losses.LOG
+    )
+    return float(tree.value[0])
+
+
+def poisson_leaf_loss(gamma, x, eta, y, w):
+    return float(np.sum(losses.POISSON.value(np.exp(eta + gamma * x), y, w)))
+
+
+@pytest.mark.parametrize("c", [1.0, 0.75, -1.3])
+def test_constant_x_leaf_is_intercept_closed_form(c):
+    rng = np.random.default_rng(61)
+    n = 50
+    eta = rng.uniform(-2.0, 0.5, size=n)
+    w = rng.uniform(0.1, 1.0, size=n)
+    y = rng.poisson(2.0 * np.exp(eta)).astype(float) / w
+    x = np.full(n, c)
+    expected = losses.intercept_shift(losses.POISSON, losses.LOG, eta, y, w) / c
+    assert expected != 0.0
+    assert poisson_leaf_step(x, eta, y, w) == expected
+
+
+def test_leaf_with_finite_optimum_is_not_zeroed():
+    # a one-hot leaf from a 4000-row bench/claims.py input under the
+    # claims-poisson settings; a Newton line search on the loss stalls
+    # next to this optimum, where float64 cannot resolve the decrease
+    x = np.ones(4)
+    eta = np.array(
+        [-1.2903747563422177, 0.3669112393556285, -1.0308170229656957, -0.8358695485802475]
+    )
+    y = np.array([1.0, 3.0, 1.0, 1.4705882352941175])
+    w = np.array([1.0, 1.0, 1.0, 0.68])
+    gamma = poisson_leaf_step(x, eta, y, w)
+    assert gamma != 0.0
+    assert gamma == pytest.approx(0.9288986033028055, rel=1e-12)
+    assert poisson_leaf_loss(gamma, x, eta, y, w) < poisson_leaf_loss(0.0, x, eta, y, w)
+
+
+def test_zero_response_leaf_returns_zero_without_logging(caplog):
+    # with y == 0 and x > 0 the deviance falls towards gamma -> -inf
+    x = np.array([0.5, 1.0, 2.0, 1.0])
+    eta = np.array([-1.0, 0.0, 0.3, -0.2])
+    y = np.zeros(4)
+    w = np.array([0.3, 1.0, 0.7, 0.2])
+    with caplog.at_level(logging.DEBUG, logger="tvcm"):
+        assert poisson_leaf_step(x, eta, y, w) == 0.0
+    assert caplog.records == []
+
+
+def test_zero_response_leaf_with_mixed_sign_x_takes_its_minimiser():
+    # x of both signs bounds the deviance, so a finite minimiser exists
+    x = np.array([1.0, -0.5, 2.0, -1.5])
+    eta = np.array([-1.0, 0.0, 0.3, -0.2])
+    y = np.zeros(4)
+    w = np.array([0.3, 1.0, 0.7, 0.2])
+    gamma = poisson_leaf_step(x, eta, y, w)
+    d1 = float(np.sum(w * x * np.exp(eta + gamma * x)))
+    assert gamma != 0.0
+    assert abs(d1) <= 1e-12 * float(np.sum(w * np.abs(x) * np.exp(eta + gamma * x)))
+    assert poisson_leaf_loss(gamma, x, eta, y, w) < poisson_leaf_loss(0.0, x, eta, y, w)
+
+
+@st.composite
+def mixed_sign_leaves(draw):
+    """Leaf rows with x of both signs, random weights and sum(w*y) > 0."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(2, 60))
+    scale = draw(st.sampled_from([0.05, 1.0, 6.0]))
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.05, 2.0, size=n) * scale * rng.choice([-1.0, 1.0], size=n)
+    x[0], x[1] = abs(x[0]), -abs(x[1])
+    eta = rng.uniform(-4.0, 2.0, size=n)
+    w = rng.uniform(0.01, 2.0, size=n)
+    counts = rng.poisson(rng.uniform(0.0, 3.0) * w * np.exp(eta))
+    counts[rng.integers(n)] += 1
+    return x, eta, counts / w, w
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(mixed_sign_leaves())
+def test_newton_leaf_step_is_stationary_and_descends(leaf):
+    x, eta, y, w = leaf
+    gamma = _newton_gamma(x, eta, y, w, losses.POISSON, losses.LOG)
+    d1 = float(np.sum(w * x * (np.exp(eta + gamma * x) - y)))
+    assert abs(d1) <= 1e-9 * float(np.sum(np.abs(w * x * y)))
+    f0 = poisson_leaf_loss(0.0, x, eta, y, w)
+    assert poisson_leaf_loss(gamma, x, eta, y, w) <= f0 + 1e-12 * f0
+    again = _newton_gamma(x, eta, y, w, losses.POISSON, losses.LOG)
+    assert np.float64(again).tobytes() == np.float64(gamma).tobytes()
 
 
 def test_split_gains_recomputed_from_node_statistics():
