@@ -1,11 +1,12 @@
 """Tree-based varying-coefficient models trained by cyclic gradient boosting.
 
 A varying-coefficient regression keeps the linear-predictor structure of
-a GLM but lets every coefficient be a function of effect modifiers,
-fitted as a sum of shrunken regression trees. Training cycles through
-the coefficient dimensions, one tree per dimension per cycle, each tree
-fitted to directional partial derivatives of the deviance loss; tree
-counts are tuned per dimension by validation early stopping.
+a GLM but lets every coefficient be a function of the features it
+multiplies, fitted as a sum of shrunken regression trees. Training
+cycles through the coefficient dimensions, one tree per dimension per
+cycle, each tree fitted to directional partial derivatives of the
+deviance loss; tree counts are tuned per dimension by validation early
+stopping.
 """
 
 from .boosting import (

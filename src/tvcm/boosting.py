@@ -43,8 +43,8 @@ class BoostConfig:
     """Shrinkage, tree counts, tree shape, and per-dimension modifier sets.
 
     ``epsilon`` and ``kappa`` accept a scalar or one value per
-    dimension. ``modifier_sets`` maps each dimension to the modifier
-    column names its trees may split on (None: all modifiers for every
+    dimension. ``modifier_sets`` maps each dimension to the feature
+    column names its trees may split on (None: every column for every
     dimension).
     """
 
@@ -114,7 +114,7 @@ class FiStar:
     dimensions on a common (standardized) scale."""
 
     values: np.ndarray  # normalized; NaN for excluded dimensions
-    raw: np.ndarray  # unnormalized mean |beta_j(z)|, all dimensions
+    raw: np.ndarray  # unnormalized mean |beta_j(x)|, all dimensions
     included: np.ndarray  # bool mask, False for one-hot member dimensions
     labels: list[str]
 
@@ -128,13 +128,12 @@ class FeatureImportance:
 
 
 def _resolve_modifier_sets(config: BoostConfig, ds: Dataset) -> list[np.ndarray]:
-    q = len(ds.z_names)
     if config.modifier_sets is None:
-        full = np.arange(q, dtype=np.int64)
+        full = np.arange(ds.p, dtype=np.int64)
         return [full for _ in range(ds.p)]
     if len(config.modifier_sets) != ds.p:
         raise ConfigError("modifier_sets must have one entry per dimension")
-    pos = {n: i for i, n in enumerate(ds.z_names)}
+    pos = {n: i for i, n in enumerate(ds.x_names)}
     out = []
     for j, names in enumerate(config.modifier_sets):
         missing = [n for n in names if n not in pos]
@@ -166,16 +165,16 @@ class _CycleState:
         self._assign_buf = np.empty(ds.n, dtype=np.int32)
         self._train_loss: float | None = None
         subsets: dict[tuple, tuple] = {}
-        self._zsub: list[np.ndarray] = []
+        self._modifiers: list[np.ndarray] = []
         self._presorted: list[list[np.ndarray]] = []
         for idx in modifier_sets:
             key = tuple(idx.tolist())
             if key not in subsets:
                 # column-major: the split scan gathers whole columns
-                sub = np.asfortranarray(ds.Z[:, idx])
+                sub = np.asfortranarray(ds.X[:, idx])
                 subsets[key] = (sub, presort_columns(sub))
             sub, pre = subsets[key]
-            self._zsub.append(sub)
+            self._modifiers.append(sub)
             self._presorted.append(pre)
 
     def fit_candidate(self, j: int):
@@ -184,7 +183,7 @@ class _CycleState:
             self.loss,
             self.link,
             self.x_cols[j],
-            self._zsub[j],
+            self._modifiers[j],
             self.eta,
             self.ds.y,
             self.ds.w,
@@ -256,7 +255,6 @@ def _run_cycles(state: _CycleState, kappa_max: np.ndarray, accept,
 def _build_space(ds: Dataset, scaler, modifier_sets) -> FeatureSpace:
     return FeatureSpace(
         feature_names=list(ds.x_names),
-        modifier_names=list(ds.z_names),
         modifier_sets=modifier_sets,
         onehot_groups={k: list(v) for k, v in ds.onehot_groups.items()},
         scaler=scaler,
@@ -329,14 +327,14 @@ def tune_kappa(
     glm = fit_glm(ds_tr, loss, link)
     state = _CycleState(ds_tr, glm, config, loss, link, modifier_sets)
 
-    va_zsub = [modifier_columns(ds_va.Z, idx) for idx in modifier_sets]
+    va_modifiers = [modifier_columns(ds_va.X, idx) for idx in modifier_sets]
     va_xcols = [np.ascontiguousarray(ds_va.X[:, j]) for j in range(ds_va.p)]
     eta_va = glm_linear_predictor(glm, ds_va.X)
     loss_va = loss_total(loss, link, eta_va, ds_va.y, ds_va.w)
 
     def validate(j, tree):
         nonlocal eta_va, loss_va
-        delta_va = state.eps[j] * tree.predict(va_zsub[j]) * va_xcols[j]
+        delta_va = state.eps[j] * tree.predict(va_modifiers[j]) * va_xcols[j]
         eta_va_new = eta_va + delta_va
         loss_va_new = loss_total(loss, link, eta_va_new, ds_va.y, ds_va.w)
         margin = 0.0
@@ -406,7 +404,7 @@ def feature_importance(model: TvcmModel, normalize: bool = True) -> FeatureImpor
     raw per-row gain totals instead.
     """
     space = model.space
-    col_labels, mapping = space.group_index(space.modifier_names)
+    col_labels, mapping = space.group_index(space.feature_names)
     M = np.zeros((model.p, len(col_labels)))
     for j, cf in enumerate(model.coef):
         idx = space.modifier_sets[j]
@@ -431,7 +429,7 @@ def fi_star(model: TvcmModel, dataset: Dataset) -> FiStar:
     indicator columns are not on the standardized scale); their
     normalized entries are NaN.
     """
-    beta = model.beta_of(dataset.Z)
+    beta = model.beta_of(dataset.X)
     raw = np.mean(np.abs(beta), axis=0)
     excluded = model.space.onehot_member_dims()
     included = np.asarray(

@@ -322,12 +322,12 @@ def cmd_train(st: Settings) -> None:
         boosting.write_trace_csv(
             result.train_trace, os.path.join(out, "train_trace.csv")
         )
-    mu = result.model.predict_mu(ds_enc.X, ds_enc.Z)
+    mu = result.model.predict_mu(ds_enc.X)
     train_loss = float(
         np.mean(result.model.loss.value(mu, ds_enc.y, ds_enc.w))
     )
     if st.get_bool("emit_beta", False):
-        beta = result.model.beta_of(ds_enc.Z)
+        beta = result.model.beta_of(ds_enc.X)
         write_csv(
             os.path.join(out, "train_beta.csv"),
             ["row_id", *[f"beta_hat_{n}" for n in ds_enc.x_names]],

@@ -19,29 +19,29 @@ SIM_DIM = 8
 
 @dataclass
 class Dataset:
-    """Rows of (response y, weight w, predictive X, effect modifiers Z).
+    """Rows of (response y, weight w, feature matrix X).
 
-    ``Z is X`` for the standard setup where every predictive feature is
-    also an effect modifier. Categorical columns arrive as integer codes
+    Every coefficient beta_j is a function of the same feature rows it
+    multiplies; per-dimension modifier sets pick the columns of X each
+    coefficient may split on. Categorical columns arrive as integer codes
     in ``cat_codes`` and stay there until ``onehot_encode`` expands them
-    into 0/1 columns of X (and Z). Instances are treated as immutable
-    once built; all transforms return new datasets.
+    into 0/1 columns of X. Instances are treated as immutable once built;
+    all transforms return new datasets.
     """
 
     y: np.ndarray
     w: np.ndarray
     X: np.ndarray
     x_names: list[str]
-    Z: np.ndarray | None = None
-    z_names: list[str] | None = None
     onehot_groups: dict[str, list[str]] = field(default_factory=dict)
     cat_codes: dict[str, np.ndarray] = field(default_factory=dict)
     cat_levels: dict[str, list[str]] = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.Z is None:
-            self.Z = self.X
-            self.z_names = list(self.x_names)
+    @property
+    def Z(self) -> np.ndarray:
+        # Read only by bench/, which still names a separate modifier
+        # matrix; a benchmark-only change deletes this alias.
+        return self.X
 
     @property
     def n(self) -> int:
@@ -52,16 +52,12 @@ class Dataset:
         return int(self.X.shape[1])
 
     def take(self, idx: np.ndarray) -> "Dataset":
-        """Row subset; keeps Z is X sharing when present."""
-        shared = self.Z is self.X
-        X = self.X[idx]
+        """Row subset."""
         return Dataset(
             y=self.y[idx],
             w=self.w[idx],
-            X=X,
+            X=self.X[idx],
             x_names=list(self.x_names),
-            Z=X if shared else self.Z[idx],
-            z_names=list(self.z_names),
             onehot_groups={k: list(v) for k, v in self.onehot_groups.items()},
             cat_codes={k: v[idx] for k, v in self.cat_codes.items()},
             cat_levels={k: list(v) for k, v in self.cat_levels.items()},
@@ -117,7 +113,7 @@ def simulate(spec: SimulationSpec) -> tuple[Dataset, np.ndarray]:
     Features are standard normal with independent components except
     corr(X2, X8) = corr_x2_x8, realized through a two-column factor that
     keeps X8's variance at one. The response is mu(x) plus
-    N(0, noise_sd^2) noise, and Z is X.
+    N(0, noise_sd^2) noise.
     """
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     X = rng.standard_normal((spec.n, SIM_DIM))
@@ -315,15 +311,13 @@ def onehot_member_name(column: str, level: str) -> str:
 
 
 def onehot_encode(ds: Dataset) -> Dataset:
-    """Expand pending categorical codes into 0/1 columns of X and Z.
+    """Expand pending categorical codes into 0/1 columns of X.
 
     Every level keeps its own column (no reference level is dropped);
     the group map records member column names per original column.
     """
     if not ds.cat_codes:
         return ds
-    if ds.Z is not ds.X:
-        raise DataError("one-hot encoding expects Z is X before expansion")
     blocks = [ds.X]
     names = list(ds.x_names)
     groups = {k: list(v) for k, v in ds.onehot_groups.items()}
@@ -385,45 +379,23 @@ class Standardizer:
 
     x_mean: np.ndarray
     x_sd: np.ndarray
-    z_mean: np.ndarray
-    z_sd: np.ndarray
 
     def apply_x(self, X) -> np.ndarray:
         return (np.asarray(X, dtype=float) - self.x_mean) / self.x_sd
 
-    def apply_z(self, Z) -> np.ndarray:
-        return (np.asarray(Z, dtype=float) - self.z_mean) / self.z_sd
 
-
-def _column_stats(M: np.ndarray, names: list[str], onehot_members: set[str]):
-    mean = M.mean(axis=0)
-    sd = M.std(axis=0)
-    for k, name in enumerate(names):
-        if name in onehot_members:
+def standardize(ds: Dataset) -> tuple[Dataset, Standardizer]:
+    """Center/scale the continuous columns of X to mean 0, sd 1."""
+    if ds.cat_codes:
+        raise DataError("standardize expects one-hot encoding to have run")
+    members = {m for group in ds.onehot_groups.values() for m in group}
+    mean = ds.X.mean(axis=0)
+    sd = ds.X.std(axis=0)
+    for k, name in enumerate(ds.x_names):
+        if name in members:
             mean[k] = 0.0
             sd[k] = 1.0
         elif sd[k] == 0.0:
             sd[k] = 1.0
-    return mean, sd
-
-
-def standardize(ds: Dataset) -> tuple[Dataset, Standardizer]:
-    """Center/scale continuous columns of X and Z to mean 0, sd 1."""
-    if ds.cat_codes:
-        raise DataError("standardize expects one-hot encoding to have run")
-    members = {m for group in ds.onehot_groups.values() for m in group}
-    x_mean, x_sd = _column_stats(ds.X, ds.x_names, members)
-    shared = ds.Z is ds.X
-    if shared:
-        z_mean, z_sd = x_mean, x_sd
-    else:
-        z_mean, z_sd = _column_stats(ds.Z, ds.z_names, members)
-    scaler = Standardizer(x_mean=x_mean, x_sd=x_sd, z_mean=z_mean, z_sd=z_sd)
-    X_std = scaler.apply_x(ds.X)
-    std = replace(
-        ds,
-        X=X_std,
-        Z=X_std if shared else scaler.apply_z(ds.Z),
-        z_names=list(ds.z_names),
-    )
-    return std, scaler
+    scaler = Standardizer(x_mean=mean, x_sd=sd)
+    return replace(ds, X=scaler.apply_x(ds.X)), scaler

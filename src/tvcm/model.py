@@ -1,6 +1,10 @@
 """The varying-coefficient model object: GLM initialization, coefficient
-evaluation beta_j(z) = beta_glm_j + delta_j(z), mean prediction, intercept
+evaluation beta_j(x) = beta_glm_j + delta_j(x), mean prediction, intercept
 recalibration, and the versioned JSON model format.
+
+Coefficients are functions of the feature rows they multiply; each
+dimension's trees split on its modifier set, a subset of the feature
+columns.
 
 Models are immutable after training; every prediction entry point is
 read-only and safe for concurrent callers. Raw (unstandardized) inputs
@@ -47,12 +51,11 @@ class CoefficientFunction:
 class FeatureSpace:
     """Feature metadata shared by training and prediction.
 
-    ``modifier_sets[j]`` holds the indices (into ``modifier_names``) of
-    the effect modifiers coefficient function j may split on.
+    ``modifier_sets[j]`` holds the indices (into ``feature_names``) of
+    the columns coefficient function j may split on.
     """
 
     feature_names: list[str]
-    modifier_names: list[str]
     modifier_sets: list[np.ndarray]
     onehot_groups: dict[str, list[str]]
     scaler: Standardizer
@@ -86,9 +89,6 @@ class FeatureSpace:
     def onehot_member_dims(self) -> set[int]:
         return {j for j, n in enumerate(self.feature_names)
                 if self.group_label(n) != n}
-
-    def modifier_matrix(self, Z_std: np.ndarray, j: int) -> np.ndarray:
-        return modifier_columns(Z_std, self.modifier_sets[j])
 
     def raw_input_columns(self) -> tuple[list[str], list[str]]:
         """(numeric column names, categorical base names) a raw input
@@ -136,12 +136,12 @@ class FeatureSpace:
         return X
 
 
-def modifier_columns(Z: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Columns ``idx`` of Z, or Z itself when idx selects every column
+def modifier_columns(X: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Columns ``idx`` of X, or X itself when idx selects every column
     in order."""
-    if idx.size == Z.shape[1] and np.array_equal(idx, np.arange(idx.size)):
-        return Z
-    return Z[:, idx]
+    if idx.size == X.shape[1] and np.array_equal(idx, np.arange(idx.size)):
+        return X
+    return X[:, idx]
 
 
 def _as_matrix(rows, width: int, what: str) -> np.ndarray:
@@ -175,52 +175,49 @@ class TvcmModel:
     def kappa(self) -> np.ndarray:
         return np.asarray([cf.kappa for cf in self.coef], dtype=np.int64)
 
-    # -- standardized-space internals (used by the trainer) ----------------
+    # -- standardized-space internals (2-D rows of width p) ----------------
 
-    def delta_of_std(self, Z_std: np.ndarray) -> np.ndarray:
-        Z_std = _as_matrix(Z_std, len(self.space.modifier_names), "modifier row")
-        out = np.zeros((Z_std.shape[0], self.p))
+    def delta_of_std(self, X_std: np.ndarray) -> np.ndarray:
+        out = np.zeros((X_std.shape[0], self.p))
         for j, cf in enumerate(self.coef):
             if not cf.trees:
                 continue
-            Zj = self.space.modifier_matrix(Z_std, j)
-            acc = np.zeros(Z_std.shape[0])
+            Xj = modifier_columns(X_std, self.space.modifier_sets[j])
+            acc = np.zeros(X_std.shape[0])
             for tree in cf.trees:
-                acc += tree.predict(Zj)
+                acc += tree.predict(Xj)
             out[:, j] = cf.epsilon * acc
         return out
 
-    def beta_of_std(self, Z_std: np.ndarray) -> np.ndarray:
-        return self.beta_glm[None, :] + self.delta_of_std(Z_std)
+    def beta_of_std(self, X_std: np.ndarray) -> np.ndarray:
+        return self.beta_glm[None, :] + self.delta_of_std(X_std)
 
-    def eta_std(self, X_std: np.ndarray, Z_std: np.ndarray) -> np.ndarray:
-        X_std = _as_matrix(X_std, self.p, "feature row")
-        return self.beta0 + np.sum(self.beta_of_std(Z_std) * X_std, axis=1)
+    def eta_std(self, X_std: np.ndarray) -> np.ndarray:
+        return self.beta0 + np.sum(self.beta_of_std(X_std) * X_std, axis=1)
 
     # -- public raw-input surface -------------------------------------------
 
-    def beta_of(self, Z) -> np.ndarray:
-        """Coefficient vector(s) beta(z) for raw modifier rows."""
-        Z = _as_matrix(Z, len(self.space.modifier_names), "modifier row")
-        return self.beta_of_std(self.space.scaler.apply_z(Z))
+    def _standardized(self, X) -> np.ndarray:
+        return self.space.scaler.apply_x(_as_matrix(X, self.p, "feature row"))
 
-    def delta_of(self, Z) -> np.ndarray:
+    def beta_of(self, X) -> np.ndarray:
+        """Coefficient vector(s) beta(x) for raw feature rows."""
+        return self.beta_of_std(self._standardized(X))
+
+    def delta_of(self, X) -> np.ndarray:
         """Tree-sum correction(s) to the GLM coefficients, no GLM term."""
-        Z = _as_matrix(Z, len(self.space.modifier_names), "modifier row")
-        return self.delta_of_std(self.space.scaler.apply_z(Z))
+        return self.delta_of_std(self._standardized(X))
 
     def linear_predictor(self, X, Z=None) -> np.ndarray:
-        X = _as_matrix(X, self.p, "feature row")
-        if Z is None:
-            Z = X
-        Z = _as_matrix(Z, len(self.space.modifier_names), "modifier row")
-        return self.eta_std(
-            self.space.scaler.apply_x(X), self.space.scaler.apply_z(Z)
-        )
+        # ``Z`` is read only by bench/, which still passes the feature
+        # matrix a second time; a benchmark-only change deletes it.
+        if Z is not None and Z is not X:
+            raise DataError("Z must be omitted or be the feature matrix X itself")
+        return self.eta_std(self._standardized(X))
 
     def predict_mu(self, X, Z=None) -> np.ndarray:
-        """Mean prediction for raw inputs; expected response is w*mu under
-        the Poisson profile."""
+        """Mean prediction for raw feature rows; expected response is w*mu
+        under the Poisson profile. ``Z``: see ``linear_predictor``."""
         eta = self.linear_predictor(X, Z)
         if self.link.kind == "log":
             check_eta(eta, context="predict")
@@ -306,38 +303,25 @@ def glm_linear_predictor(glm: GlmCoefficients, X_std: np.ndarray) -> np.ndarray:
 # -- serialization -------------------------------------------------------------
 
 
-def _standardization_payload(space: FeatureSpace) -> dict:
-    mean: dict[str, float] = {}
-    sd: dict[str, float] = {}
-    sc = space.scaler
-    for k, name in enumerate(space.feature_names):
-        mean[name] = float(sc.x_mean[k])
-        sd[name] = float(sc.x_sd[k])
-    for k, name in enumerate(space.modifier_names):
-        if name in mean and (
-            mean[name] != float(sc.z_mean[k]) or sd[name] != float(sc.z_sd[k])
-        ):
-            raise ModelFormatError(
-                f"column {name!r} has conflicting x/z standardization"
-            )
-        mean[name] = float(sc.z_mean[k])
-        sd[name] = float(sc.z_sd[k])
-    return {"mean": mean, "sd": sd}
-
-
 def model_to_dict(model: TvcmModel) -> dict:
+    space = model.space
+    names = list(space.feature_names)
     return {
         "format_version": MODEL_FORMAT_VERSION,
         "loss": model.loss.kind,
         "link": model.link.kind,
-        "feature_names": list(model.space.feature_names),
-        "modifier_names": list(model.space.modifier_names),
+        "feature_names": names,
+        # format v1 lists the modifier columns separately; they are the
+        # feature columns
+        "modifier_names": list(names),
         "modifier_names_per_dimension": [
-            [model.space.modifier_names[i] for i in idx]
-            for idx in model.space.modifier_sets
+            [names[i] for i in idx] for idx in space.modifier_sets
         ],
-        "onehot_groups": {k: list(v) for k, v in model.space.onehot_groups.items()},
-        "standardization": _standardization_payload(model.space),
+        "onehot_groups": {k: list(v) for k, v in space.onehot_groups.items()},
+        "standardization": {
+            "mean": {n: float(v) for n, v in zip(names, space.scaler.x_mean)},
+            "sd": {n: float(v) for n, v in zip(names, space.scaler.x_sd)},
+        },
         "beta0": model.beta0,
         "dimensions": [
             {
@@ -364,21 +348,23 @@ def model_from_dict(payload: dict) -> TvcmModel:
         loss = get_loss(payload["loss"])
         link = get_link(payload["link"])
         feature_names = list(payload["feature_names"])
-        modifier_names = list(payload["modifier_names"])
-        mod_pos = {n: i for i, n in enumerate(modifier_names)}
+        if list(payload["modifier_names"]) != feature_names:
+            raise ModelFormatError(
+                "modifier_names must equal feature_names: every modifier "
+                "column is a feature column"
+            )
+        pos = {n: i for i, n in enumerate(feature_names)}
         modifier_sets = [
-            np.asarray([mod_pos[n] for n in names], dtype=np.int64)
+            np.asarray([pos[n] for n in names], dtype=np.int64)
             for names in payload["modifier_names_per_dimension"]
         ]
         std = payload["standardization"]
-        x_mean = np.asarray([std["mean"][n] for n in feature_names])
-        x_sd = np.asarray([std["sd"][n] for n in feature_names])
-        z_mean = np.asarray([std["mean"][n] for n in modifier_names])
-        z_sd = np.asarray([std["sd"][n] for n in modifier_names])
-        scaler = Standardizer(x_mean=x_mean, x_sd=x_sd, z_mean=z_mean, z_sd=z_sd)
+        scaler = Standardizer(
+            x_mean=np.asarray([std["mean"][n] for n in feature_names]),
+            x_sd=np.asarray([std["sd"][n] for n in feature_names]),
+        )
         space = FeatureSpace(
             feature_names=feature_names,
-            modifier_names=modifier_names,
             modifier_sets=modifier_sets,
             onehot_groups={k: list(v) for k, v in payload["onehot_groups"].items()},
             scaler=scaler,

@@ -367,7 +367,7 @@ def adjust_leaves(
     eta = np.asarray(eta, dtype=float)
     y = np.asarray(y, dtype=float)
     w = np.asarray(w, dtype=float)
-    if np.isscalar(w) or w.ndim == 0:
+    if w.ndim == 0:
         w = np.full_like(eta, float(w))
     if leaf_of is None:
         leaf_of = tree.assign(modifiers)

@@ -71,7 +71,7 @@ def study():
         dataclasses.replace(SIM_CONFIG, kappa=0),
     )
 
-    pred_test = mdl.predict_mu(test_ds.X, test_ds.Z)
+    pred_test = mdl.predict_mu(test_ds.X)
     return {
         "train": train_ds,
         "test": test_ds,
@@ -82,7 +82,7 @@ def study():
         "pred_test": pred_test,
         "mse_test": float(np.mean((test_ds.y - pred_test) ** 2)),
         "mse_glm": float(
-            np.mean((test_ds.y - glm_model.predict_mu(test_ds.X, test_ds.Z)) ** 2)
+            np.mean((test_ds.y - glm_model.predict_mu(test_ds.X)) ** 2)
         ),
         "mse_null": float(
             np.mean(
@@ -164,7 +164,7 @@ def test_a5_coefficient_shape_recovery(study):
     rng = np.random.default_rng(5)
     test_ds = study["test"]
     idx = rng.choice(test_ds.n, size=500, replace=False)
-    beta_hat = study["model"].beta_of(test_ds.Z[idx])
+    beta_hat = study["model"].beta_of(test_ds.X[idx])
     x3 = test_ds.X[idx, 2]
     keep = np.abs(x3) > 0.5
     truth = 0.5 * np.sign(x3[keep]) * np.sin(2.0 * x3[keep])
@@ -239,7 +239,7 @@ def test_a9_linear_oracle():
     res = boosting.fit_tvcm(
         train_ds, losses.GAUSSIAN, losses.IDENTITY, cfg, stopping=_stopping(29)
     )
-    beta = res.model.beta_of(test_ds.Z)
+    beta = res.model.beta_of(test_ds.X)
     sd_x = train_ds.X.std(axis=0)
     beta_raw = beta / sd_x  # back to raw-feature scale
     err = np.abs(beta_raw - gamma[None, :])
@@ -273,7 +273,7 @@ def poisson_fit():
 
 def test_a10_balance_property(poisson_fit):
     ds, counts, res = poisson_fit
-    mu = res.model.predict_mu(ds.X, ds.Z)
+    mu = res.model.predict_mu(ds.X)
     num = abs(float(np.sum(ds.w * mu)) - float(counts.sum()))
     rel = num / float(counts.sum())
     assert rel <= 1e-8
@@ -328,7 +328,7 @@ def test_a11_real_data_ordering():
     null_fit = boosting.fit_tvcm(null_ds, losses.POISSON, losses.LOG, zero)
 
     def dev(m, X):
-        mu = m.predict_mu(X, None if X.shape[1] else None)
+        mu = m.predict_mu(X)
         return float(np.mean(losses.POISSON.value(mu, test_ds.y, test_ds.w)))
 
     d_tvcm = dev(res.model, test_ds.X)
@@ -359,7 +359,7 @@ def test_a12_round_trip_and_determinism(study, tmp_path):
     clone = model.load_model(path)
     test_ds = study["test"]
     assert np.array_equal(
-        study["pred_test"], clone.predict_mu(test_ds.X, test_ds.Z)
+        study["pred_test"], clone.predict_mu(test_ds.X)
     )
 
     def digests(root):

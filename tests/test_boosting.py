@@ -33,13 +33,30 @@ def test_config_validation():
         boosting.StoppingConfig(patience=0)
 
 
+@pytest.mark.parametrize(
+    "sets, message",
+    [
+        ((("x1",),) * 7, "one entry per dimension"),
+        ((("x1",),) * 7 + (("x9",),),
+         r"dimension 7: unknown modifier column\(s\) \['x9'\]"),
+        ((("x1",),) * 7 + ((),), "dimension 7: empty modifier set"),
+    ],
+    ids=["entry-count", "unknown-column", "empty-set"],
+)
+def test_modifier_sets_are_checked_against_feature_names(sets, message):
+    ds, _ = sim_encoded(n=200)
+    cfg = boosting.BoostConfig(kappa=1, modifier_sets=sets)
+    with pytest.raises(ConfigError, match=message):
+        boosting.fit_tvcm(ds, losses.GAUSSIAN, losses.IDENTITY, cfg)
+
+
 def test_zero_kappa_returns_recalibrated_glm():
     ds, _ = sim_encoded()
     res = fit(ds, kappa=0)
     std, _ = data.standardize(ds)
     glm_pred = res.glm.beta0 + std.X @ res.glm.beta
     np.testing.assert_allclose(
-        res.model.predict_mu(ds.X, ds.Z), glm_pred, atol=1e-10
+        res.model.predict_mu(ds.X), glm_pred, atol=1e-10
     )
     assert res.train_trace == []
     assert all(cf.kappa == 0 for cf in res.model.coef)
@@ -62,17 +79,17 @@ def test_single_step_matches_hand_rolled_gradient_step():
     g = losses.directional_gradient(
         losses.GAUSSIAN, losses.IDENTITY, std.X[:, 0], eta0, ds.y, ds.w
     )
-    t = tree.fit_partition(g, std.Z, tree.TreeConfig(4, 5))
+    t = tree.fit_partition(g, std.X, tree.TreeConfig(4, 5))
     tree.adjust_leaves(
-        t, std.Z, std.X[:, 0], eta0, ds.y, ds.w, losses.GAUSSIAN, losses.IDENTITY
+        t, std.X, std.X[:, 0], eta0, ds.y, ds.w, losses.GAUSSIAN, losses.IDENTITY
     )
-    eta1 = eta0 + t.predict(std.Z) * std.X[:, 0]
+    eta1 = eta0 + t.predict(std.X) * std.X[:, 0]
     shift = model.intercept_shift(
         losses.GAUSSIAN, losses.IDENTITY, eta1 - glm.beta0, ds.y, ds.w
     )
     expected = eta1 - glm.beta0 + shift
     np.testing.assert_allclose(
-        res.model.predict_mu(ds.X, ds.Z), expected, atol=1e-12
+        res.model.predict_mu(ds.X), expected, atol=1e-12
     )
     before = float(np.sum((ds.y - eta0) ** 2))
     after = float(np.sum((ds.y - expected) ** 2))
@@ -101,7 +118,7 @@ def test_monotone_training_loss(pair):
 def test_kappa_zero_dimensions_stay_at_glm():
     ds, _ = sim_encoded()
     res = fit(ds, kappa=(0, 10, 10, 0, 0, 0, 0, 0))
-    beta = res.model.beta_of(ds.Z[:100])
+    beta = res.model.beta_of(ds.X[:100])
     for j in (0, 3, 4, 5, 6, 7):
         assert np.all(beta[:, j] == res.glm.beta[j])
     assert res.model.kappa.tolist() == [0, 10, 10, 0, 0, 0, 0, 0]
@@ -116,7 +133,7 @@ def test_cached_eta_matches_recomputation():
         std, glm, cfg, losses.GAUSSIAN, losses.IDENTITY, scaler
     )
     eta_cached_loss = trace[-1].train_loss
-    eta_recomputed = mdl.linear_predictor(ds.X, ds.Z)
+    eta_recomputed = mdl.linear_predictor(ds.X)
     # the final trace loss was computed before intercept recalibration;
     # undo the recorded recalibration shift for comparison
     recomputed_loss = losses.loss_total(
@@ -133,7 +150,7 @@ def test_cached_eta_matches_recomputation():
     for j, cf in enumerate(mdl.coef):
         acc = np.zeros(ds.n)
         for t in cf.trees:
-            acc += t.predict(mdl.space.modifier_matrix(std.Z, j))
+            acc += t.predict(model.modifier_columns(std.X, mdl.space.modifier_sets[j]))
         rebuilt = rebuilt + cf.epsilon * acc * std.X[:, j]
     rebuilt += mdl.beta0 - glm.beta0
     np.testing.assert_allclose(eta_recomputed, rebuilt, atol=1e-10)
@@ -144,7 +161,7 @@ def test_training_determinism():
     r1 = fit(ds, kappa=15)
     r2 = fit(ds, kappa=15)
     np.testing.assert_array_equal(
-        r1.model.predict_mu(ds.X, ds.Z), r2.model.predict_mu(ds.X, ds.Z)
+        r1.model.predict_mu(ds.X), r2.model.predict_mu(ds.X)
     )
     assert [t.train_loss for t in r1.train_trace] == [
         t.train_loss for t in r2.train_trace
@@ -254,7 +271,7 @@ def test_importance_unit_row_and_zero_row():
     # dimension 2 may only split on modifier x3 (index 2); dimension 0
     # gets no trees
     sets = tuple(
-        ("x3",) if j == 2 else tuple(ds.z_names) for j in range(8)
+        ("x3",) if j == 2 else tuple(ds.x_names) for j in range(8)
     )
     cfg = boosting.BoostConfig(
         kappa=(0, 5, 5, 0, 0, 0, 0, 0),

@@ -64,7 +64,6 @@ def test_simulate_noise_variance():
     ds, mu = data.simulate(data.SimulationSpec(n=100000, seed=4))
     assert float(np.var(ds.y - mu)) == pytest.approx(1.0, abs=0.02)
     assert np.all(ds.w == 1.0)
-    assert ds.Z is ds.X
 
 
 def write_csv(path, header, rows):
@@ -184,7 +183,6 @@ def test_onehot_encode_levels_and_groups(tmp_path):
     decoded = [enc.onehot_groups["c"][k].split("=")[1]
                for k in np.argmax(enc.X[:, 2:], axis=1)]
     assert decoded == ["m", "l", "s"]
-    assert enc.Z is enc.X
 
 
 def test_split_sizes_and_determinism():

@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -15,12 +16,9 @@ def gaussian_fit(ds_enc, kappa=0, **cfg_kw):
 
 def identity_space(p, names=None):
     names = names or [f"x{j+1}" for j in range(p)]
-    scaler = data.Standardizer(
-        x_mean=np.zeros(p), x_sd=np.ones(p), z_mean=np.zeros(p), z_sd=np.ones(p)
-    )
+    scaler = data.Standardizer(x_mean=np.zeros(p), x_sd=np.ones(p))
     return model.FeatureSpace(
         feature_names=list(names),
-        modifier_names=list(names),
         modifier_sets=[np.arange(p) for _ in range(p)],
         onehot_groups={},
         scaler=scaler,
@@ -75,10 +73,10 @@ def test_fit_glm_simulated_profile():
 def test_beta_of_zero_trees_is_glm():
     ds, _ = data.simulate(data.SimulationSpec(n=2000, seed=5))
     res = gaussian_fit(ds, kappa=0)
-    Z = ds.Z[:50]
-    beta = res.model.beta_of(Z)
+    X = ds.X[:50]
+    beta = res.model.beta_of(X)
     np.testing.assert_allclose(beta, np.tile(res.glm.beta, (50, 1)), atol=1e-14)
-    np.testing.assert_array_equal(res.model.delta_of(Z), np.zeros((50, 8)))
+    np.testing.assert_array_equal(res.model.delta_of(X), np.zeros((50, 8)))
 
 
 def test_beta_of_hand_composed_tree():
@@ -93,9 +91,9 @@ def test_beta_of_hand_composed_tree():
 def test_beta_minus_glm_equals_delta():
     ds, _ = data.simulate(data.SimulationSpec(n=3000, seed=6))
     res = gaussian_fit(ds, kappa=15)
-    Z = ds.Z[:200]
-    lhs = res.model.beta_of(Z) - res.model.beta_glm[None, :]
-    np.testing.assert_allclose(lhs, res.model.delta_of(Z), atol=1e-15)
+    X = ds.X[:200]
+    lhs = res.model.beta_of(X) - res.model.beta_glm[None, :]
+    np.testing.assert_allclose(lhs, res.model.delta_of(X), atol=1e-15)
 
 
 def test_log_link_multiplicative_decomposition():
@@ -110,11 +108,11 @@ def test_log_link_multiplicative_decomposition():
     res = boosting.fit_tvcm(ds, losses.POISSON, losses.LOG, cfg)
     mdl = res.model
     rows = rng.choice(n, size=1000, replace=False)
-    Xq, Zq = ds.X[rows], ds.Z[rows]
-    mu = mdl.predict_mu(Xq, Zq)
+    Xq = ds.X[rows]
+    mu = mdl.predict_mu(Xq)
     X_std = mdl.space.scaler.apply_x(Xq)
     glm_mu = np.exp(mdl.beta0 + X_std @ mdl.beta_glm)
-    corr = np.exp(np.sum(mdl.delta_of(Zq) * X_std, axis=1))
+    corr = np.exp(np.sum(mdl.delta_of(Xq) * X_std, axis=1))
     np.testing.assert_allclose(mu, glm_mu * corr, rtol=1e-10)
 
 
@@ -136,7 +134,7 @@ def test_glm_only_model_matches_direct_formula():
     std, scaler = data.standardize(ds)
     direct = res.glm.beta0 + std.X @ res.glm.beta
     np.testing.assert_allclose(
-        res.model.predict_mu(ds.X, ds.Z), direct, atol=1e-10
+        res.model.predict_mu(ds.X), direct, atol=1e-10
     )
 
 
@@ -147,14 +145,14 @@ def test_zero_tree_reduction_invariant():
     std, _ = data.standardize(ds)
     glm_pred = res.glm.beta0 + std.X @ res.glm.beta
     np.testing.assert_allclose(
-        res.model.predict_mu(ds.X, ds.Z), glm_pred, atol=1e-10
+        res.model.predict_mu(ds.X), glm_pred, atol=1e-10
     )
 
 
 def test_recalibrate_fixed_point_and_shift_invariance():
     ds, _ = data.simulate(data.SimulationSpec(n=3000, seed=10))
     mdl = gaussian_fit(ds, kappa=10).model
-    rest = mdl.linear_predictor(ds.X, ds.Z) - mdl.beta0
+    rest = mdl.linear_predictor(ds.X) - mdl.beta0
     # a trained model's intercept is already the stationary one
     beta0 = model.intercept_shift(mdl.loss, mdl.link, rest, ds.y, ds.w)
     assert beta0 == pytest.approx(mdl.beta0, abs=1e-10)
@@ -173,7 +171,7 @@ def test_poisson_balance_after_recalibration():
     ds = data.Dataset(y=counts / w, w=w, X=X, x_names=["a", "b"])
     cfg = boosting.BoostConfig(kappa=15, tree=tree.TreeConfig(2, 20))
     res = boosting.fit_tvcm(ds, losses.POISSON, losses.LOG, cfg)
-    mu = res.model.predict_mu(ds.X, ds.Z)
+    mu = res.model.predict_mu(ds.X)
     assert abs(float(np.sum(w * mu)) - counts.sum()) <= 1e-8 * counts.sum()
 
 
@@ -184,8 +182,8 @@ def test_standardization_invisible_under_affine_rescaling():
     X2[:, 2] = 35.0 * X2[:, 2] - 4.0  # rescale one raw column
     ds2 = data.Dataset(y=ds.y, w=ds.w, X=X2, x_names=list(ds.x_names))
     res_b = gaussian_fit(ds2, kappa=8)
-    pred_a = res_a.model.predict_mu(ds.X, ds.Z)
-    pred_b = res_b.model.predict_mu(ds2.X, ds2.Z)
+    pred_a = res_a.model.predict_mu(ds.X)
+    pred_b = res_b.model.predict_mu(ds2.X)
     np.testing.assert_allclose(pred_a, pred_b, rtol=1e-6, atol=1e-6)
 
 
@@ -195,11 +193,11 @@ def test_serialize_round_trip_bit_exact(tmp_path):
     path = tmp_path / "model.json"
     model.save_model(res.model, path)
     clone = model.load_model(path)
-    a = res.model.predict_mu(ds.X, ds.Z)
-    b = clone.predict_mu(ds.X, ds.Z)
+    a = res.model.predict_mu(ds.X)
+    b = clone.predict_mu(ds.X)
     assert np.array_equal(a, b)
-    ba = res.model.beta_of(ds.Z[:100])
-    bb = clone.beta_of(ds.Z[:100])
+    ba = res.model.beta_of(ds.X[:100])
+    bb = clone.beta_of(ds.X[:100])
     assert np.array_equal(ba, bb)
     # double round trip is byte-stable
     path2 = tmp_path / "model2.json"
@@ -214,7 +212,7 @@ def test_serialize_glm_only_round_trip(tmp_path):
     model.save_model(res.model, path)
     clone = model.load_model(path)
     assert np.array_equal(
-        res.model.predict_mu(ds.X, ds.Z), clone.predict_mu(ds.X, ds.Z)
+        res.model.predict_mu(ds.X), clone.predict_mu(ds.X)
     )
 
 
@@ -237,6 +235,57 @@ def test_load_rejects_malformed_document(tmp_path):
     path.write_text("not json at all")
     with pytest.raises(ModelFormatError):
         model.load_model(path)
+
+
+FIXTURE_V1 = pathlib.Path(__file__).parent / "data" / "gaussian_v1_model.json"
+
+
+def fixture_v1_fit():
+    """The fit that wrote FIXTURE_V1: format v1, eight simulated
+    columns, two trees per dimension, dimension x3 split on x3 and x5."""
+    ds, _ = data.simulate(data.SimulationSpec(n=400, seed=17))
+    sets = tuple(
+        ("x3", "x5") if j == 2 else tuple(ds.x_names) for j in range(ds.p)
+    )
+    cfg = boosting.BoostConfig(
+        epsilon=0.1, kappa=2, tree=tree.TreeConfig(2, 10), modifier_sets=sets
+    )
+    return ds, boosting.fit_tvcm(ds, losses.GAUSSIAN, losses.IDENTITY, cfg).model
+
+
+def test_v1_fixture_round_trip_and_retrain_are_byte_identical(tmp_path):
+    saved = tmp_path / "saved.json"
+    clone = model.load_model(FIXTURE_V1)
+    model.save_model(clone, saved)
+    assert saved.read_bytes() == FIXTURE_V1.read_bytes()
+
+    ds, retrained = fixture_v1_fit()
+    model.save_model(retrained, saved)
+    assert saved.read_bytes() == FIXTURE_V1.read_bytes()
+    assert np.array_equal(clone.predict_mu(ds.X), retrained.predict_mu(ds.X))
+    assert np.array_equal(clone.beta_of(ds.X), retrained.beta_of(ds.X))
+
+
+@pytest.mark.parametrize(
+    "modifier_names",
+    [["x2", "x1", "x3", "x4", "x5", "x6", "x7", "x8"], ["x1", "x2"]],
+    ids=["reordered", "subset"],
+)
+def test_load_rejects_modifier_names_other_than_features(modifier_names):
+    payload = json.loads(FIXTURE_V1.read_text())
+    payload["modifier_names"] = modifier_names
+    with pytest.raises(ModelFormatError, match="modifier_names"):
+        model.model_from_dict(payload)
+
+
+def test_predict_rejects_a_separate_modifier_matrix():
+    mdl = model.load_model(FIXTURE_V1)
+    X = np.zeros((3, 8))
+    assert np.array_equal(mdl.predict_mu(X, X), mdl.predict_mu(X))
+    with pytest.raises(DataError, match="Z must"):
+        mdl.predict_mu(X, X.copy())
+    with pytest.raises(DataError, match="Z must"):
+        mdl.linear_predictor(X, np.ones((3, 8)))
 
 
 def test_predict_overflow_names_row():
@@ -269,12 +318,9 @@ def test_arity_mismatch_is_contract_violation():
 
 def test_encode_frame_onehot_and_unseen_level():
     names = ["a", "g=x", "g=y"]
-    scaler = data.Standardizer(
-        x_mean=np.zeros(3), x_sd=np.ones(3), z_mean=np.zeros(3), z_sd=np.ones(3)
-    )
+    scaler = data.Standardizer(x_mean=np.zeros(3), x_sd=np.ones(3))
     space = model.FeatureSpace(
         feature_names=names,
-        modifier_names=names,
         modifier_sets=[np.arange(3)] * 3,
         onehot_groups={"g": ["g=x", "g=y"]},
         scaler=scaler,
