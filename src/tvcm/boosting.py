@@ -33,7 +33,7 @@ from .model import (
     glm_linear_predictor,
     modifier_columns,
 )
-from .tree import TreeConfig, fit_gradient_tree, presort_columns
+from .tree import SplitIndex, TreeConfig, fit_gradient_tree, presort_columns
 
 logger = logging.getLogger("tvcm")
 
@@ -149,8 +149,9 @@ def _resolve_modifier_sets(config: BoostConfig, ds: Dataset) -> list[np.ndarray]
 
 class _CycleState:
     """Mutable trainer state over one dataset: cached eta and training
-    loss, presorted modifier columns per unique subset, accumulated
-    trees."""
+    loss, one split-search index (``presort_columns``: bin codes for
+    low-cardinality columns, sort orders for the rest) per unique
+    modifier subset, accumulated trees."""
 
     def __init__(self, ds: Dataset, glm: GlmCoefficients, config: BoostConfig,
                  loss, link, modifier_sets):
@@ -166,7 +167,7 @@ class _CycleState:
         self._train_loss: float | None = None
         subsets: dict[tuple, tuple] = {}
         self._modifiers: list[np.ndarray] = []
-        self._presorted: list[list[np.ndarray]] = []
+        self._presorted: list[SplitIndex] = []
         for idx in modifier_sets:
             key = tuple(idx.tolist())
             if key not in subsets:

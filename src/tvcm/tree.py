@@ -7,6 +7,10 @@ bracketed Newton on the derivative otherwise (see ``adjust_leaves``).
 Candidate thresholds are midpoints between consecutive distinct sorted
 feature values; among equal-gain splits the lowest feature index wins,
 then the lowest threshold, and values equal to a threshold route left.
+Split search is exact either way a column is scanned: a column with at
+most one distinct value per 8 rows gets one histogram bin per value
+(LightGBM's histogram scan with exact bins), every other column is
+scanned along its presorted order (XGBoost's exact greedy scan).
 Fitted trees are immutable once published; ``assign``/``predict``/
 ``split_gains`` are read-only and safe to share.
 """
@@ -28,6 +32,9 @@ logger = logging.getLogger("tvcm")
 _GAIN_REL_EPS = 1e-12
 # Newton iterations before a leaf step settles for its best bracketed point
 _LEAF_MAX_ITER = 100
+# a column whose distinct values times this are at most its row count
+# gets one histogram bin per value instead of a presorted order
+_BIN_RATIO = 8
 
 
 @dataclass(frozen=True)
@@ -180,50 +187,126 @@ class RegressionTree:
         return tree
 
 
-def presort_columns(Z) -> list[np.ndarray]:
-    """Stable per-column sort orders, reusable across trees on the same Z."""
+@dataclass(frozen=True)
+class SplitIndex:
+    """Split-search index over one modifier matrix, reusable across trees.
+
+    A column is binned when its distinct values times ``_BIN_RATIO`` are
+    at most the row count. ``codes[:, b]`` holds the rank of each row's
+    value among the sorted distinct values ``levels[b]`` of binned column
+    ``binned[b]``, offset by ``b * n_bins``, so one ``bincount`` over a
+    node's rows histograms every binned column at once. Every other
+    column keeps its stable sort order. ``orders[0]`` is column 0's
+    stable sort order, the row order every node keeps; ``sorted_slots``
+    maps each presorted column to its slot in ``orders`` (column 0, when
+    presorted, is slot 0).
+    """
+
+    orders: tuple
+    sorted_slots: dict
+    binned: np.ndarray
+    codes: np.ndarray
+    levels: tuple
+    n_bins: int
+
+
+def presort_columns(Z) -> SplitIndex:
+    """Split-search index of Z, reusable across trees on the same Z.
+
+    Every column is stably sorted once. A column with distinct values
+    times ``_BIN_RATIO`` at most the row count keeps the rank of each
+    row's value as a bin code; every other column keeps its sort order.
+    """
     Z = np.asarray(Z, dtype=float)
-    return [
-        np.argsort(Z[:, f], kind="stable").astype(np.int64)
-        for f in range(Z.shape[1])
-    ]
+    n, q = Z.shape
+    orders, sorted_slots, binned, ranks, levels = [], {}, [], [], []
+    for f in range(q):
+        order = np.argsort(Z[:, f], kind="stable").astype(np.int64)
+        v = Z[order, f]
+        new_value = v[1:] != v[:-1]
+        if f == 0:  # every node's row order, whether or not column 0 is binned
+            orders.append(order)
+        if (int(np.count_nonzero(new_value)) + 1) * _BIN_RATIO > n:
+            if f > 0:
+                orders.append(order)
+            sorted_slots[f] = len(orders) - 1
+            continue
+        rank = np.empty(n, dtype=np.intp)
+        rank[order] = np.concatenate(([0], np.cumsum(new_value)))
+        binned.append(f)
+        ranks.append(rank)
+        levels.append(v[np.concatenate(([True], new_value))])
+    n_bins = max((lv.size for lv in levels), default=0)
+    codes = np.empty((n, len(binned)), dtype=np.intp)
+    for b, rank in enumerate(ranks):
+        codes[:, b] = rank + b * n_bins
+    return SplitIndex(
+        tuple(orders), sorted_slots, np.asarray(binned, dtype=np.int64),
+        codes, tuple(levels), n_bins,
+    )
+
+
+def _split_gain(s_left, n_left, total, m):
+    """Squared-error reduction from splitting m rows whose centered
+    gradients sum to ``total`` into n_left rows summing to s_left and
+    the rest."""
+    s_right = total - s_left
+    gain = s_left * s_left / n_left + s_right * s_right / (m - n_left)
+    gain -= total * total / m
+    return gain
 
 
 def _best_split_for_feature(v, gc, min_leaf):
-    """Best (gain, threshold) on one presorted feature.
+    """Best (gain, position) on one presorted feature; the cut falls
+    between ``v[position]`` and ``v[position + 1]``.
 
     ``v`` is sorted feature values, ``gc`` the matching centered
     gradients. Gains come from prefix sums of the centered gradients, so
     constant gradient vectors yield exact zeros.
     """
     m = v.size
-    if m < 2 * min_leaf:
-        return None
     lo, hi = min_leaf - 1, m - min_leaf  # split positions lo..hi-1
     valid = v[lo:hi] < v[lo + 1 : hi + 1]
     if not np.any(valid):
         return None
     cs = np.cumsum(gc)
-    total = cs[-1]
-    n_left = np.arange(lo + 1, hi + 1, dtype=float)
-    s_left = cs[lo:hi]
-    s_right = total - s_left
-    gain = s_left * s_left / n_left + s_right * s_right / (m - n_left)
-    gain -= total * total / m
+    gain = _split_gain(
+        cs[lo:hi], np.arange(lo + 1, hi + 1, dtype=float), cs[-1], m
+    )
     gain[~valid] = -np.inf
     k = int(np.argmax(gain))  # first max: lowest threshold wins ties
-    pos = lo + k
-    thr = 0.5 * (v[pos] + v[pos + 1])
-    if thr >= v[pos + 1]:  # midpoint rounded up between adjacent floats
-        thr = v[pos]
-    return float(gain[k]), float(thr)
+    return float(gain[k]), lo + k
+
+
+def _best_splits_binned(index: SplitIndex, rows, gc, min_leaf):
+    """Best gain and bin of every binned column at one node.
+
+    Per-bin sums of the centered gradients ``gc`` (aligned with
+    ``rows``) and per-bin row counts come from one bincount each; a
+    cut after bin k is valid when bin k is non-empty and both sides keep
+    min_leaf rows. Returns (gains, bins, counts); a column without a
+    valid cut has gain -inf.
+    """
+    nb, m = index.binned.size, rows.size
+    codes = index.codes[rows].ravel()
+    size = nb * index.n_bins
+    sums = np.bincount(codes, weights=np.repeat(gc, nb), minlength=size)
+    counts = np.bincount(codes, minlength=size).reshape(nb, index.n_bins)
+    cs = np.cumsum(sums.reshape(nb, index.n_bins), axis=1)
+    n_left = np.cumsum(counts, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gain = _split_gain(cs, n_left, cs[:, -1:], m)
+    valid = (counts > 0) & (n_left >= min_leaf) & (n_left <= m - min_leaf)
+    gain[~valid] = -np.inf
+    bins = np.argmax(gain, axis=1)  # first max: lowest threshold wins ties
+    return gain[np.arange(nb), bins], bins, counts
 
 
 def fit_partition(
     gradients,
     modifiers,
     config: TreeConfig,
-    presorted: list[np.ndarray] | None = None,
+    presorted: SplitIndex | None = None,
     assign_out: np.ndarray | None = None,
 ) -> RegressionTree:
     """Greedy top-down least-squares tree on (gradients, modifiers).
@@ -232,8 +315,12 @@ def fit_partition(
     min_samples_leaf on both children; growth stops at max_depth or when
     no split has positive gain. Fewer than 2*min_samples_leaf rows give
     a single-leaf tree. Leaf values are left at 0 pending adjust_leaves.
-    ``assign_out`` (int32, length n) receives each row's leaf id, saving
-    a routing pass.
+    ``presorted`` is ``presort_columns(modifiers)``, built here when
+    None. Presorted columns are scanned along their sort orders, binned
+    columns through one histogram per node; the best gain of each column
+    enters one gain vector whose first maximum wins. ``assign_out``
+    (int32, length n) receives each row's leaf id, saving a routing
+    pass.
     """
     g = np.ascontiguousarray(gradients, dtype=float)
     Z = np.asarray(modifiers, dtype=float)
@@ -242,14 +329,45 @@ def fit_partition(
     n, q = Z.shape
     if g.shape != (n,):
         raise DomainError("gradient length must equal modifier row count")
-    if presorted is None:
-        presorted = presort_columns(Z)
+    index = presort_columns(Z) if presorted is None else presorted
     cols = [np.ascontiguousarray(Z[:, f]) for f in range(q)]
 
     tree = RegressionTree(q)
     min_leaf = config.min_samples_leaf
 
-    def build(orders: list[np.ndarray], depth: int) -> int:
+    def best_split(orders, gr, mean):
+        """(gain, feature, threshold) of the largest gain, or None."""
+        gains = [-math.inf] * q
+        cuts = [0] * q  # sorted position (presorted) or bin (binned)
+        for f, slot in index.sorted_slots.items():
+            o = orders[slot]
+            found = _best_split_for_feature(cols[f][o], g[o] - mean, min_leaf)
+            if found is not None:
+                gains[f], cuts[f] = found
+        if index.binned.size:
+            b_gains, bins, counts = _best_splits_binned(
+                index, orders[0], gr - mean, min_leaf
+            )
+            found = zip(index.binned.tolist(), b_gains.tolist(), bins.tolist())
+            for f, gain, k in found:
+                gains[f], cuts[f] = gain, k
+        f = max(range(q), key=gains.__getitem__)  # first max: lowest feature
+        if gains[f] == -math.inf:
+            return None
+        k = cuts[f]
+        if f in index.sorted_slots:
+            o = orders[index.sorted_slots[f]]
+            lo, hi = cols[f][o[k]], cols[f][o[k + 1]]
+        else:  # the next non-empty bin holds the next value up
+            b = int(np.searchsorted(index.binned, f))
+            up = k + 1 + int(np.flatnonzero(counts[b, k + 1 :])[0])
+            lo, hi = index.levels[b][k], index.levels[b][up]
+        thr = 0.5 * (lo + hi)
+        if thr >= hi:  # midpoint rounded up between adjacent floats
+            thr = lo
+        return gains[f], f, float(thr)
+
+    def build(orders: list, depth: int) -> int:
         rows = orders[0]
         m = rows.size
         gr = g[rows]
@@ -259,13 +377,7 @@ def fit_partition(
         if depth < config.max_depth and m >= 2 * min_leaf:
             sse = float(np.sum((gr - mean) ** 2))
             if sse > 0.0:
-                for f in range(q):
-                    ordf = orders[f]
-                    found = _best_split_for_feature(
-                        cols[f][ordf], g[ordf] - mean, min_leaf
-                    )
-                    if found is not None and (best is None or found[0] > best[0]):
-                        best = (found[0], f, found[1])
+                best = best_split(orders, gr, mean)
                 if best is not None and best[0] <= _GAIN_REL_EPS * sse:
                     best = None
         if best is None:
@@ -273,19 +385,18 @@ def fit_partition(
                 assign_out[rows] = node
             return node
         gain, f, thr = best
+        # a presorted split feature's own order puts its left rows first
+        by_f = orders[index.sorted_slots.get(f, 0)]
         left_mask = np.zeros(n, dtype=bool)
-        ordf = orders[f]
-        left_mask[ordf[cols[f][ordf] <= thr]] = True
-        orders_l = [o[left_mask[o]] for o in orders]
-        orders_r = [o[~left_mask[o]] for o in orders]
+        left_mask[by_f[cols[f][by_f] <= thr]] = True
         tree.feature[node] = f
         tree.threshold[node] = thr
         tree.gain[node] = gain
-        tree.left[node] = build(orders_l, depth + 1)
-        tree.right[node] = build(orders_r, depth + 1)
+        tree.left[node] = build([o[left_mask[o]] for o in orders], depth + 1)
+        tree.right[node] = build([o[~left_mask[o]] for o in orders], depth + 1)
         return node
 
-    build(presorted, 0)
+    build(list(index.orders), 0)
     tree._freeze()
     return tree
 
@@ -404,7 +515,7 @@ def fit_gradient_tree(
     y,
     w,
     config: TreeConfig,
-    presorted: list[np.ndarray] | None = None,
+    presorted: SplitIndex | None = None,
     assign_out: np.ndarray | None = None,
 ) -> RegressionTree:
     """Fit one boosting tree: gradients, partition, leaf adjustment."""

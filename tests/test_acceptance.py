@@ -227,6 +227,69 @@ def test_a8_tree_oracle_equivalence():
     print("A8 PASS: 200 random datasets match the exhaustive best-split oracle exactly")
 
 
+def _node_thresholds_follow_midpoint_rule(fitted, Z):
+    """Each split's threshold is the midpoint between the largest node
+    value at or below it and the smallest above it (the lower value when
+    the midpoint rounds up to the upper one)."""
+
+    def walk(nid, rows):
+        f = int(fitted.feature[nid])
+        if f < 0:
+            return
+        thr = float(fitted.threshold[nid])
+        v = Z[rows, f]
+        lo, hi = v[v <= thr].max(), v[v > thr].min()
+        mid = 0.5 * (lo + hi)
+        assert thr == (lo if mid >= hi else mid)
+        walk(int(fitted.left[nid]), rows[v <= thr])
+        walk(int(fitted.right[nid]), rows[v > thr])
+
+    walk(0, np.arange(Z.shape[0]))
+
+
+def test_binned_scan_oracle_equivalence():
+    # A8's continuous normals never reach the histogram scan; here every
+    # column is a 0/1 indicator or a small integer (binned), except for
+    # at most one continuous column that keeps the presorted scan, so one
+    # tree mixes both scans and column 0 is binned in most datasets
+    rng = np.random.default_rng(808)
+    mixed = col0_binned = 0
+    for rep in range(200):
+        n = int(rng.integers(16, 161))
+        q = int(rng.integers(1, 5))
+        min_leaf = int(rng.integers(1, 6))
+        depth = int(rng.integers(1, 4))
+        cont = int(rng.integers(-1, q)) if rng.random() < 0.5 else -1
+        Z = np.empty((n, q))
+        for f in range(q):
+            if f == cont:
+                Z[:, f] = rng.standard_normal(n)
+            elif rng.random() < 0.5:
+                Z[:, f] = rng.random(n) < rng.uniform(0.1, 0.9)
+            else:
+                levels = int(rng.integers(2, min(n // 8, 7) + 1))
+                Z[:, f] = rng.integers(0, levels, size=n) - levels // 2
+        g = rng.standard_normal(n)
+        index = tree.presort_columns(Z)
+        assert index.binned.tolist() == [f for f in range(q) if f != cont]
+        mixed += 0 <= cont and q > 1
+        col0_binned += cont != 0
+        fitted = tree.fit_partition(g, Z, tree.TreeConfig(depth, min_leaf))
+        ref = greedy_tree_brute(g, Z, depth, min_leaf)
+        fit_rows = fitted_leaf_rows(fitted, Z)
+        ref_rows = tree_leaf_rows(ref)
+        assert sorted(tuple(np.sort(r).tolist()) for r in fit_rows) == sorted(
+            tuple(r.tolist()) for r in ref_rows
+        ), f"partition mismatch at dataset {rep}"
+        assert partition_sse(g, fit_rows) == partition_sse(g, ref_rows)
+        _node_thresholds_follow_midpoint_rule(fitted, Z)
+    assert mixed >= 20 and col0_binned >= 100
+    print(
+        f"binned-scan oracle PASS: 200 datasets ({mixed} mixing both scans, "
+        f"{col0_binned} with column 0 binned) match the exhaustive oracle"
+    )
+
+
 def test_a9_linear_oracle():
     rng = np.random.default_rng(9)
     n = 200000

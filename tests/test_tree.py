@@ -22,6 +22,7 @@ from tvcm.tree import (
     _newton_gamma,
     adjust_leaves,
     fit_partition,
+    presort_columns,
 )
 
 
@@ -141,6 +142,88 @@ def test_tie_breaking_prefers_lowest_feature_and_threshold():
     Z = np.column_stack([col, col])
     tree = fit_partition(g, Z, TreeConfig(1, 1))
     assert int(tree.feature[0]) == 0
+
+
+def test_constant_column_is_one_bin_without_candidates():
+    rng = np.random.default_rng(3)
+    g = rng.standard_normal(40)
+    flag = (np.arange(40) % 2).astype(float)
+    Z = np.column_stack([np.full(40, 7.0), flag])
+    index = presort_columns(Z)
+    assert index.binned.tolist() == [0, 1]
+    assert index.levels[0].tolist() == [7.0]
+    tree = fit_partition(g + 3.0 * flag, Z, TreeConfig(1, 5))
+    assert int(tree.feature[0]) == 1
+    assert float(tree.threshold[0]) == 0.5
+    only = fit_partition(g, Z[:, :1], TreeConfig(2, 1))
+    assert only.n_nodes == 1
+
+
+def test_binned_columns_without_valid_cut_leave_presorted_winner():
+    # the indicator separates the gradients perfectly but has 5 rows on
+    # one side, below min_samples_leaf; only the continuous column splits
+    rng = np.random.default_rng(4)
+    n = 40
+    flag = np.zeros(n)
+    flag[:5] = 1.0
+    g = np.where(flag > 0, 10.0, 0.0) + rng.standard_normal(n)
+    cont = rng.standard_normal(n)
+    index = presort_columns(np.column_stack([flag, cont]))
+    assert index.binned.tolist() == [0]
+    tree = fit_partition(g, np.column_stack([flag, cont]), TreeConfig(1, 10))
+    assert int(tree.feature[0]) == 1
+    assert fit_partition(g, flag[:, None], TreeConfig(1, 10)).n_nodes == 1
+
+
+def test_binned_cut_may_leave_exactly_min_samples_leaf():
+    n, min_leaf = 40, 10
+    codes = np.repeat([0.0, 1.0, 2.0], [min_leaf, 15, 15])
+    g = np.where(codes == 0.0, -3.0, 1.0)
+    tree = fit_partition(g, codes[:, None], TreeConfig(1, min_leaf))
+    assert presort_columns(codes[:, None]).binned.tolist() == [0]
+    assert float(tree.threshold[0]) == 0.5
+    assert int(tree.count[tree.left[0]]) == min_leaf
+    assert int(tree.count[tree.right[0]]) == n - min_leaf
+    # one more row of min_samples_leaf moves the cut to the next bin
+    stricter = fit_partition(g, codes[:, None], TreeConfig(1, min_leaf + 1))
+    assert float(stricter.threshold[0]) == 1.5
+
+
+def test_binned_value_equal_to_threshold_routes_left():
+    # adjacent floats: the midpoint rounds up, so the threshold is the
+    # lower value itself and its rows must route left
+    lo = 1.0
+    hi = float(np.nextafter(lo, 2.0))
+    z = np.repeat([lo, hi], 20)
+    g = np.where(z == lo, -1.0, 1.0)
+    tree = fit_partition(g, z[:, None], TreeConfig(1, 1))
+    assert float(tree.threshold[0]) == lo
+    left = int(tree.left[0])
+    assert int(tree.count[left]) == 20
+    assert tree.assign(np.array([[lo], [hi]])).tolist() == [left, int(tree.right[0])]
+
+
+def test_fit_partition_builds_the_same_index_when_none_is_given():
+    rng = np.random.default_rng(12)
+    n = 400
+    Z = np.column_stack(
+        [
+            rng.integers(0, 5, n).astype(float),
+            rng.standard_normal(n),
+            rng.random(n) < 0.3,
+            rng.integers(0, 40, n).astype(float),
+        ]
+    )
+    g = rng.standard_normal(n) + Z[:, 0] * Z[:, 2]
+    index = presort_columns(Z)
+    assert index.binned.tolist() == [0, 2, 3]
+    cfg = TreeConfig(3, 5)
+    given = fit_partition(g, Z, cfg, presorted=index)
+    built = fit_partition(g, Z, cfg)
+    for attr in ("feature", "threshold", "left", "right", "count", "gain"):
+        a, b = getattr(given, attr), getattr(built, attr)
+        assert a.tobytes() == b.tobytes(), attr
+    assert given.n_nodes > 3
 
 
 def test_route_single_leaf_and_tie_rule():
