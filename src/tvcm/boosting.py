@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import Dataset, split, standardize
+from .data import Dataset, require_finite, split, standardize
 from .errors import ConfigError, FitError
 from .losses import check_canonical, intercept_shift, loss_total
 from .model import (
@@ -378,9 +378,13 @@ def fit_tvcm(
 
     Standardizes with training statistics, fits the GLM initialization,
     optionally tunes per-dimension tree counts by early stopping, then
-    trains on the full data at the tuned counts.
+    trains on the full data at the tuned counts. A NaN or an infinity
+    in X, y or w is a DataError naming its first row and its column.
     """
     check_canonical(loss, link)
+    require_finite(dataset.X, dataset.x_names, "training data")
+    require_finite(dataset.y, ["response"], "training data")
+    require_finite(dataset.w, ["weight"], "training data")
     ds_std, scaler = standardize(dataset)
     glm = fit_glm(ds_std, loss, link)
     cfg = config

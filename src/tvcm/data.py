@@ -183,7 +183,7 @@ class Schema:
             v = np.asarray([code[text] for text in cells], dtype=float)
         else:
             v = _floats(cells, col, path)
-        _require(np.isfinite(v), "non-finite value", col, path)
+        require_finite(v, [col], path)
         if col in self.floors:
             v = np.maximum(v, self.floors[col])
         if col in self.caps:
@@ -204,7 +204,7 @@ class Schema:
         w = _floats(cells, col, path)
         if col in self.caps:
             w = np.minimum(w, self.caps[col])
-        _require(np.isfinite(w), "non-finite value", col, path)
+        require_finite(w, [col], path)
         _require(w > 0, "non-positive weight", col, path)
         return w
 
@@ -227,6 +227,17 @@ def _require(ok: np.ndarray, what: str, col: str, path) -> None:
     if not np.all(ok):
         r = int(np.flatnonzero(~ok)[0])
         raise DataError(f"{path}: {what} at row {r}, column {col!r}")
+
+
+def require_finite(M, names, where: str) -> None:
+    """DataError naming the first row of M holding a NaN or an infinity,
+    and that row's first such column; a 1-D M is one column."""
+    ok = np.isfinite(M)
+    if ok.ndim == 1:
+        ok = ok[:, None]
+    if not ok.all():
+        r, c = divmod(int(np.flatnonzero(~ok)[0]), ok.shape[1])
+        raise DataError(f"{where}: non-finite value at row {r}, column {names[c]!r}")
 
 
 def csv_header(path) -> list[str]:
@@ -275,7 +286,7 @@ def load_csv(path, schema: Schema) -> Dataset:
     if n == 0:
         raise DataError(f"{path}: no data rows")
     y = _floats(cells[schema.response], schema.response, path)
-    _require(np.isfinite(y), "non-finite value", schema.response, path)
+    require_finite(y, [schema.response], path)
     if schema.response_kind == "count":
         _require(y >= 0, "negative count", schema.response, path)
     if schema.response in schema.caps:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, Standardizer
+from .data import Dataset, Standardizer, require_finite
 from .errors import DataError, FitError, ModelFormatError
 from .losses import check_canonical, check_eta, get_link, get_loss, loss_total
 from .losses import intercept_shift  # noqa: F401  (kept as model.intercept_shift)
@@ -144,12 +144,15 @@ def modifier_columns(X: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return X[:, idx]
 
 
-def _as_matrix(rows, width: int, what: str) -> np.ndarray:
+def _as_matrix(rows, names: list[str]) -> np.ndarray:
+    """Raw feature rows as a 2-D float matrix, one column per name; a
+    wrong width or a NaN/infinity is a DataError."""
     M = np.asarray(rows, dtype=float)
     if M.ndim == 1:
         M = M[None, :]
-    if M.ndim != 2 or M.shape[1] != width:
-        raise DataError(f"{what} has arity {M.shape[-1]}, expected {width}")
+    if M.ndim != 2 or M.shape[1] != len(names):
+        raise DataError(f"feature row has arity {M.shape[-1]}, expected {len(names)}")
+    require_finite(M, names, "feature rows")
     return M
 
 
@@ -198,7 +201,7 @@ class TvcmModel:
     # -- public raw-input surface -------------------------------------------
 
     def _standardized(self, X) -> np.ndarray:
-        return self.space.scaler.apply_x(_as_matrix(X, self.p, "feature row"))
+        return self.space.scaler.apply_x(_as_matrix(X, self.space.feature_names))
 
     def beta_of(self, X) -> np.ndarray:
         """Coefficient vector(s) beta(x) for raw feature rows."""

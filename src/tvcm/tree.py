@@ -10,7 +10,10 @@ then the lowest threshold, and values equal to a threshold route left.
 Split search is exact either way a column is scanned: a column with at
 most one distinct value per 8 rows gets one histogram bin per value
 (LightGBM's histogram scan with exact bins), every other column is
-scanned along its presorted order (XGBoost's exact greedy scan).
+scanned along its presorted order (XGBoost's exact greedy scan). Only
+nodes that search carry every presorted column's row order: a leaf
+gets its rows alone, and the columns of a searching node share its
+centered gradients and per-cut row counts (see ``fit_partition``).
 Fitted trees are immutable once published; ``assign``/``predict``/
 ``split_gains`` are read-only and safe to share.
 """
@@ -246,35 +249,35 @@ def presort_columns(Z) -> SplitIndex:
     )
 
 
-def _split_gain(s_left, n_left, total, m):
+def _split_gain(s_left, n_left, n_right, total, m):
     """Squared-error reduction from splitting m rows whose centered
     gradients sum to ``total`` into n_left rows summing to s_left and
-    the rest."""
+    n_right = m - n_left rows holding the rest."""
     s_right = total - s_left
-    gain = s_left * s_left / n_left + s_right * s_right / (m - n_left)
+    gain = s_left * s_left / n_left + s_right * s_right / n_right
     gain -= total * total / m
     return gain
 
 
-def _best_split_for_feature(v, gc, min_leaf):
+def _best_split_for_feature(v, gc, lo, n_left, n_right):
     """Best (gain, position) on one presorted feature; the cut falls
     between ``v[position]`` and ``v[position + 1]``.
 
-    ``v`` is sorted feature values, ``gc`` the matching centered
-    gradients. Gains come from prefix sums of the centered gradients, so
-    constant gradient vectors yield exact zeros.
+    ``v`` is sorted feature values and ``gc`` the matching centered
+    gradients. Cut positions run from ``lo`` to ``lo + n_left.size - 1``;
+    ``n_left``/``n_right`` are the row counts on each side of them, the
+    same for every feature of a node. Gains come from prefix sums of the
+    centered gradients, so constant gradient vectors yield exact zeros.
     """
-    m = v.size
-    lo, hi = min_leaf - 1, m - min_leaf  # split positions lo..hi-1
+    hi = lo + n_left.size
     valid = v[lo:hi] < v[lo + 1 : hi + 1]
-    if not np.any(valid):
+    if not valid.any():
         return None
-    cs = np.cumsum(gc)
-    gain = _split_gain(
-        cs[lo:hi], np.arange(lo + 1, hi + 1, dtype=float), cs[-1], m
-    )
-    gain[~valid] = -np.inf
-    k = int(np.argmax(gain))  # first max: lowest threshold wins ties
+    cs = gc.cumsum()
+    gain = _split_gain(cs[lo:hi], n_left, n_right, cs[-1], gc.size)
+    if not valid.all():  # tied values: no cut between equal values
+        gain[~valid] = -math.inf
+    k = int(gain.argmax())  # first max: lowest threshold wins ties
     return float(gain[k]), lo + k
 
 
@@ -292,13 +295,14 @@ def _best_splits_binned(index: SplitIndex, rows, gc, min_leaf):
     size = nb * index.n_bins
     sums = np.bincount(codes, weights=np.repeat(gc, nb), minlength=size)
     counts = np.bincount(codes, minlength=size).reshape(nb, index.n_bins)
-    cs = np.cumsum(sums.reshape(nb, index.n_bins), axis=1)
-    n_left = np.cumsum(counts, axis=1)
+    cs = sums.reshape(nb, index.n_bins).cumsum(axis=1)
+    n_left = counts.cumsum(axis=1)
+    n_right = m - n_left
     with np.errstate(divide="ignore", invalid="ignore"):
-        gain = _split_gain(cs, n_left, cs[:, -1:], m)
-    valid = (counts > 0) & (n_left >= min_leaf) & (n_left <= m - min_leaf)
+        gain = _split_gain(cs, n_left, n_right, cs[:, -1:], m)
+    valid = (counts > 0) & (n_left >= min_leaf) & (n_right >= min_leaf)
     gain[~valid] = -np.inf
-    bins = np.argmax(gain, axis=1)  # first max: lowest threshold wins ties
+    bins = gain.argmax(axis=1)  # first max: lowest threshold wins ties
     return gain[np.arange(nb), bins], bins, counts
 
 
@@ -321,6 +325,14 @@ def fit_partition(
     enters one gain vector whose first maximum wins. ``assign_out``
     (int32, length n) receives each row's leaf id, saving a routing
     pass.
+
+    A node carries one row order per presorted column, filtered from its
+    parent's at the split. Children at max_depth are leaves, which read
+    only their rows, so a split just above max_depth filters column 0's
+    order alone, and a leaf never gathers its gradients. At a node that
+    searches, the centered gradients, the cut range and the left and
+    right row counts of each cut position are computed once and shared
+    by every column's scan.
     """
     g = np.ascontiguousarray(gradients, dtype=float)
     Z = np.asarray(modifiers, dtype=float)
@@ -331,22 +343,34 @@ def fit_partition(
         raise DomainError("gradient length must equal modifier row count")
     index = presort_columns(Z) if presorted is None else presorted
     cols = [np.ascontiguousarray(Z[:, f]) for f in range(q)]
+    # left-side row counts of every cut position, sliced per node
+    ranks = np.arange(1, n + 1, dtype=float)
 
     tree = RegressionTree(q)
     min_leaf = config.min_samples_leaf
 
-    def best_split(orders, gr, mean):
-        """(gain, feature, threshold) of the largest gain, or None."""
+    def best_split(orders, gc, mean):
+        """(gain, feature, threshold) of the largest gain, or None.
+
+        ``gc`` is the node's gradients less their mean, in the row order
+        of ``orders[0]``.
+        """
+        m = gc.size
+        lo = min_leaf - 1  # cut positions lo..m-min_leaf-1
+        n_left = ranks[lo : m - min_leaf]
+        n_right = m - n_left
         gains = [-math.inf] * q
         cuts = [0] * q  # sorted position (presorted) or bin (binned)
         for f, slot in index.sorted_slots.items():
             o = orders[slot]
-            found = _best_split_for_feature(cols[f][o], g[o] - mean, min_leaf)
+            found = _best_split_for_feature(
+                cols[f][o], gc if slot == 0 else g[o] - mean, lo, n_left, n_right
+            )
             if found is not None:
                 gains[f], cuts[f] = found
         if index.binned.size:
             b_gains, bins, counts = _best_splits_binned(
-                index, orders[0], gr - mean, min_leaf
+                index, orders[0], gc, min_leaf
             )
             found = zip(index.binned.tolist(), b_gains.tolist(), bins.tolist())
             for f, gain, k in found:
@@ -357,27 +381,28 @@ def fit_partition(
         k = cuts[f]
         if f in index.sorted_slots:
             o = orders[index.sorted_slots[f]]
-            lo, hi = cols[f][o[k]], cols[f][o[k + 1]]
+            below, above = cols[f][o[k]], cols[f][o[k + 1]]
         else:  # the next non-empty bin holds the next value up
             b = int(np.searchsorted(index.binned, f))
             up = k + 1 + int(np.flatnonzero(counts[b, k + 1 :])[0])
-            lo, hi = index.levels[b][k], index.levels[b][up]
-        thr = 0.5 * (lo + hi)
-        if thr >= hi:  # midpoint rounded up between adjacent floats
-            thr = lo
+            below, above = index.levels[b][k], index.levels[b][up]
+        thr = 0.5 * (below + above)
+        if thr >= above:  # midpoint rounded up between adjacent floats
+            thr = below
         return gains[f], f, float(thr)
 
     def build(orders: list, depth: int) -> int:
         rows = orders[0]
         m = rows.size
-        gr = g[rows]
-        mean = float(gr.mean())
         node = tree._add_node(m)
         best = None
         if depth < config.max_depth and m >= 2 * min_leaf:
-            sse = float(np.sum((gr - mean) ** 2))
+            gr = g[rows]
+            mean = float(gr.mean())
+            gc = gr - mean
+            sse = float((gc**2).sum())
             if sse > 0.0:
-                best = best_split(orders, gr, mean)
+                best = best_split(orders, gc, mean)
                 if best is not None and best[0] <= _GAIN_REL_EPS * sse:
                     best = None
         if best is None:
@@ -385,15 +410,15 @@ def fit_partition(
                 assign_out[rows] = node
             return node
         gain, f, thr = best
-        # a presorted split feature's own order puts its left rows first
-        by_f = orders[index.sorted_slots.get(f, 0)]
-        left_mask = np.zeros(n, dtype=bool)
-        left_mask[by_f[cols[f][by_f] <= thr]] = True
+        left_mask = cols[f] <= thr
+        if depth + 1 == config.max_depth:  # leaf children read only rows
+            orders = orders[:1]
+        sel = [left_mask[o] for o in orders]
         tree.feature[node] = f
         tree.threshold[node] = thr
         tree.gain[node] = gain
-        tree.left[node] = build([o[left_mask[o]] for o in orders], depth + 1)
-        tree.right[node] = build([o[~left_mask[o]] for o in orders], depth + 1)
+        tree.left[node] = build([o[s] for o, s in zip(orders, sel)], depth + 1)
+        tree.right[node] = build([o[~s] for o, s in zip(orders, sel)], depth + 1)
         return node
 
     build(list(index.orders), 0)

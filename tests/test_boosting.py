@@ -1,8 +1,11 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from tvcm import boosting, data, losses, model, tree
-from tvcm.errors import ConfigError
+from tvcm.errors import ConfigError, DataError
 
 
 def sim_encoded(n=4000, seed=5):
@@ -31,6 +34,27 @@ def test_config_validation():
         boosting.StoppingConfig(validation_fraction=0.0)
     with pytest.raises(ConfigError):
         boosting.StoppingConfig(patience=0)
+
+
+@pytest.mark.parametrize(
+    "field, row, column",
+    [("X", 5, "x3"), ("y", 7, "response"), ("w", 0, "weight")],
+)
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_fit_rejects_non_finite_training_data_with_coordinates(field, row, column, bad):
+    ds, _ = sim_encoded(n=200, seed=3)
+    values = getattr(ds, field).copy()
+    if field == "X":
+        values[row, 2] = bad
+        values[row + 1, 0] = bad
+    else:
+        values[row] = bad
+        values[row + 1] = bad
+    ds = dataclasses.replace(ds, **{field: values})
+    with pytest.raises(
+        DataError, match=rf"training data: non-finite value at row {row}, column '{column}'"
+    ):
+        fit(ds, 1)
 
 
 @pytest.mark.parametrize(

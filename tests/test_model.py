@@ -266,6 +266,66 @@ def test_v1_fixture_round_trip_and_retrain_are_byte_identical(tmp_path):
     assert np.array_equal(clone.beta_of(ds.X), retrained.beta_of(ds.X))
 
 
+FIXTURE_POISSON_V1 = pathlib.Path(__file__).parent / "data" / "poisson_v1_model.json"
+
+
+def fixture_poisson_v1_fit():
+    """The fit that wrote FIXTURE_POISSON_V1: 600 claims-like rows with
+    one continuous column (Density, presorted), small integers
+    (VehPower) and 0/1 indicators (Diesel, three Region levels), all
+    binned; three trees per dimension. Its leaf steps take all three
+    Poisson paths: no response, constant x and Newton."""
+    rng = np.random.default_rng(23)
+    n = 600
+    density = np.maximum(np.round(np.exp(rng.normal(5.0, 1.5, n))), 1.0)
+    power = rng.integers(4, 10, n).astype(float)
+    diesel = rng.integers(0, 2, n).astype(float)
+    region = rng.integers(0, 3, n)
+    w = np.maximum(np.round(rng.uniform(0.05, 1.0, n), 2), 0.05)
+    eta = -3.0 + 0.25 * np.log(density) - 0.1 * (power - 6) + 0.4 * diesel
+    y = rng.poisson(w * np.exp(eta)).astype(float)
+    ds = data.onehot_encode(
+        data.Dataset(
+            y=y,
+            w=w,
+            X=np.column_stack([density, power, diesel]),
+            x_names=["Density", "VehPower", "Diesel"],
+            cat_codes={"Region": region},
+            cat_levels={"Region": ["R1", "R2", "R3"]},
+        )
+    )
+    cfg = boosting.BoostConfig(epsilon=0.1, kappa=3, tree=tree.TreeConfig(2, 15))
+    return ds, boosting.fit_tvcm(ds, losses.POISSON, losses.LOG, cfg).model
+
+
+def test_poisson_v1_fixture_round_trip_and_retrain_are_byte_identical(tmp_path):
+    saved = tmp_path / "saved.json"
+    clone = model.load_model(FIXTURE_POISSON_V1)
+    model.save_model(clone, saved)
+    assert saved.read_bytes() == FIXTURE_POISSON_V1.read_bytes()
+
+    ds, retrained = fixture_poisson_v1_fit()
+    model.save_model(retrained, saved)
+    assert saved.read_bytes() == FIXTURE_POISSON_V1.read_bytes()
+    assert np.array_equal(clone.predict_mu(ds.X), retrained.predict_mu(ds.X))
+    assert np.array_equal(clone.beta_of(ds.X), retrained.beta_of(ds.X))
+
+
+@pytest.mark.parametrize(
+    "entry", ["predict_mu", "linear_predictor", "beta_of", "delta_of"]
+)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_prediction_rejects_non_finite_feature_with_coordinates(entry, bad):
+    mdl = model.load_model(FIXTURE_V1)
+    X = np.zeros((8, 8))
+    X[5, 2] = bad
+    X[6, 0] = bad
+    with pytest.raises(DataError, match=r"non-finite value at row 5, column 'x3'"):
+        getattr(mdl, entry)(X)
+    with pytest.raises(DataError, match=r"row 0, column 'x3'"):
+        getattr(mdl, entry)(X[5])
+
+
 @pytest.mark.parametrize(
     "modifier_names",
     [["x2", "x1", "x3", "x4", "x5", "x6", "x7", "x8"], ["x1", "x2"]],

@@ -226,6 +226,49 @@ def test_fit_partition_builds_the_same_index_when_none_is_given():
     assert given.n_nodes > 3
 
 
+@pytest.mark.parametrize("col0", ["binned", "presorted"])
+@pytest.mark.parametrize("max_depth", [1, 2, 3, 4])
+def test_assign_out_matches_routing_across_reused_index(col0, max_depth):
+    rng = np.random.default_rng(40 + max_depth)
+    n = 300
+    first = (
+        rng.integers(0, 6, n).astype(float)
+        if col0 == "binned"
+        else rng.standard_normal(n)
+    )
+    Z = np.column_stack(
+        [
+            first,
+            np.round(rng.standard_normal(n), 1),
+            rng.random(n) < 0.4,
+            rng.standard_normal(n),
+        ]
+    )
+    index = presort_columns(Z)
+    assert (0 in index.sorted_slots) == (col0 == "presorted")
+    assert index.sorted_slots and index.binned.size
+    cfg = TreeConfig(max_depth, 8)
+    depths = set()
+    for _ in range(24):
+        g = rng.standard_normal(n) + 2.0 * (Z[:, 0] > np.median(Z[:, 0]))
+        out = np.full(n, -1, dtype=np.int32)
+        tree = fit_partition(g, Z, cfg, presorted=index, assign_out=out)
+        assert np.array_equal(out, tree.assign(Z))
+        leaves = tree.leaf_ids()
+        assert np.array_equal(
+            np.bincount(out, minlength=tree.n_nodes)[leaves], tree.count[leaves]
+        )
+        fresh = fit_partition(g, Z, cfg, presorted=presort_columns(Z))
+        for attr in ("feature", "threshold", "left", "right", "count", "gain"):
+            a, b = getattr(tree, attr), getattr(fresh, attr)
+            assert a.tobytes() == b.tobytes(), attr
+        depth = np.zeros(tree.n_nodes, dtype=int)  # parents precede children
+        for node in np.flatnonzero(tree.feature >= 0):
+            depth[[tree.left[node], tree.right[node]]] = depth[node] + 1
+        depths.add(int(depth.max()))
+    assert max(depths) == max_depth  # leaf children at max_depth were built
+
+
 def test_route_single_leaf_and_tie_rule():
     tree, g, Z = four_row_tree()
     # value equal to the threshold goes left
