@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import Dataset, require_finite, split, standardize
+from .data import Dataset, require_all, require_finite, split, standardize
 from .errors import ConfigError, FitError
 from .losses import check_canonical, intercept_shift, loss_total
 from .model import (
@@ -379,12 +379,17 @@ def fit_tvcm(
     Standardizes with training statistics, fits the GLM initialization,
     optionally tunes per-dimension tree counts by early stopping, then
     trains on the full data at the tuned counts. A NaN or an infinity
-    in X, y or w is a DataError naming its first row and its column.
+    in X, y or w, a weight <= 0 and, under the Poisson loss, a response
+    < 0 are each a DataError naming the first such row and its column.
     """
     check_canonical(loss, link)
-    require_finite(dataset.X, dataset.x_names, "training data")
-    require_finite(dataset.y, ["response"], "training data")
-    require_finite(dataset.w, ["weight"], "training data")
+    where = "training data"
+    require_finite(dataset.X, dataset.x_names, where)
+    require_finite(dataset.y, ["response"], where)
+    require_finite(dataset.w, ["weight"], where)
+    require_all(dataset.w > 0, "non-positive weight", "weight", where)
+    if loss.kind == "poisson_deviance":
+        require_all(dataset.y >= 0, "negative response", "response", where)
     ds_std, scaler = standardize(dataset)
     glm = fit_glm(ds_std, loss, link)
     cfg = config

@@ -201,13 +201,23 @@ def _fmt(value) -> str:
 
 
 def write_csv(path: str, header: list[str], rows) -> None:
+    """Headered CSV; ints print as ints and floats in shortest
+    round-trip form, so rereading a cell gives back its exact value."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow(
-                [cell if isinstance(cell, str) else _fmt(cell) for cell in row]
-            )
+            writer.writerow([
+                repr(cell) if type(cell) is float
+                else cell if isinstance(cell, str) else _fmt(cell)
+                for cell in row
+            ])
+
+
+def _rows_of(*cols):
+    """Rows of equal-length 1-D arrays, one cell per array, as Python
+    ints and floats, which ``write_csv`` formats without numpy calls."""
+    return zip(*[np.asarray(c).tolist() for c in cols])
 
 
 def _out_dir(st: Settings) -> str:
@@ -233,12 +243,12 @@ def cmd_simulate(st: Settings) -> None:
         write_csv(
             os.path.join(out, f"{stem}.csv"),
             ["y", "w", *ds.x_names],
-            ([ds.y[i], ds.w[i], *ds.X[i]] for i in idx),
+            _rows_of(ds.y[idx], ds.w[idx], *ds.X[idx].T),
         )
         write_csv(
             os.path.join(out, f"{stem}_truth.csv"),
             ["row_id", "mu", *[f"beta_{k}" for k in range(1, 9)]],
-            ([int(i), mu[i], *beta[i]] for i in idx),
+            _rows_of(idx, mu[idx], *beta[idx].T),
         )
 
     write_pair("sim_data", np.arange(n))
@@ -322,16 +332,16 @@ def cmd_train(st: Settings) -> None:
         boosting.write_trace_csv(
             result.train_trace, os.path.join(out, "train_trace.csv")
         )
-    mu = result.model.predict_mu(ds_enc.X)
+    scores = result.model.scores(ds_enc.X)
+    mu = result.model.mu_from_eta(scores.eta)
     train_loss = float(
         np.mean(result.model.loss.value(mu, ds_enc.y, ds_enc.w))
     )
     if st.get_bool("emit_beta", False):
-        beta = result.model.beta_of(ds_enc.X)
         write_csv(
             os.path.join(out, "train_beta.csv"),
             ["row_id", *[f"beta_hat_{n}" for n in ds_enc.x_names]],
-            ([i, *beta[i]] for i in range(ds_enc.n)),
+            _rows_of(np.arange(ds_enc.n), *scores.beta.T),
         )
     glm_txt = " ".join(
         f"{n}={g:.6g}" for n, g in zip(ds_enc.x_names, result.glm.beta)
@@ -368,22 +378,21 @@ def cmd_predict(st: Settings) -> None:
     out = _out_dir(st)
     mdl = model_mod.load_model(model_path)
     X, w, n = _frame_for_model(st, mdl, path)
-    mu = mdl.predict_mu(X)
+    scores = mdl.scores(X)
+    mu = mdl.mu_from_eta(scores.eta)
     header = ["row_id", "mu_hat"]
     cols = [mu]
     if mdl.loss.kind == "poisson_deviance":
         header.append("expected_response")
         cols.append(w * mu)
     if st.get_bool("emit_beta", False):
-        beta = mdl.beta_of(X)
         header += [f"beta_hat_{name}" for name in mdl.space.feature_names]
-        cols += [beta[:, j] for j in range(mdl.p)]
+        cols += [scores.beta[:, j] for j in range(mdl.p)]
     if st.get_bool("emit_delta", False):
-        delta = mdl.delta_of(X)
         header += [f"delta_{name}" for name in mdl.space.feature_names]
-        cols += [delta[:, j] for j in range(mdl.p)]
+        cols += [scores.delta[:, j] for j in range(mdl.p)]
     dest = os.path.join(out, "predictions.csv")
-    write_csv(dest, header, ([i, *[c[i] for c in cols]] for i in range(n)))
+    write_csv(dest, header, _rows_of(np.arange(n), *cols))
     print(f"predict: wrote {n} rows to {dest}")
 
 

@@ -190,10 +190,10 @@ class Schema:
             v = np.minimum(v, self.caps[col])
         transform = self.transforms.get(col)
         if transform == "log":
-            _require(v > 0, "log transform of a non-positive value", col, path)
+            require_all(v > 0, "log transform of a non-positive value", col, path)
             v = np.log(v)
         elif transform == "log1p":
-            _require(v > -1, "log1p transform of a value <= -1", col, path)
+            require_all(v > -1, "log1p transform of a value <= -1", col, path)
             v = np.log1p(v)
         return v
 
@@ -205,11 +205,15 @@ class Schema:
         if col in self.caps:
             w = np.minimum(w, self.caps[col])
         require_finite(w, [col], path)
-        _require(w > 0, "non-positive weight", col, path)
+        require_all(w > 0, "non-positive weight", col, path)
         return w
 
 
 def _floats(cells: list[str], col: str, path) -> np.ndarray:
+    try:
+        return np.asarray(list(map(float, cells)), dtype=float)
+    except ValueError:
+        pass  # the loop below names the cell that failed
     values = []
     for r, text in enumerate(cells):
         try:
@@ -222,11 +226,11 @@ def _floats(cells: list[str], col: str, path) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
-def _require(ok: np.ndarray, what: str, col: str, path) -> None:
+def require_all(ok: np.ndarray, what: str, col: str, where) -> None:
     """DataError naming the first row where ``ok`` is False."""
     if not np.all(ok):
         r = int(np.flatnonzero(~ok)[0])
-        raise DataError(f"{path}: {what} at row {r}, column {col!r}")
+        raise DataError(f"{where}: {what} at row {r}, column {col!r}")
 
 
 def require_finite(M, names, where: str) -> None:
@@ -288,7 +292,7 @@ def load_csv(path, schema: Schema) -> Dataset:
     y = _floats(cells[schema.response], schema.response, path)
     require_finite(y, [schema.response], path)
     if schema.response_kind == "count":
-        _require(y >= 0, "negative count", schema.response, path)
+        require_all(y >= 0, "negative count", schema.response, path)
     if schema.response in schema.caps:
         y = np.minimum(y, schema.caps[schema.response])
     w = schema.weight_values(cells[schema.weight], path) if schema.weight else np.ones(n)

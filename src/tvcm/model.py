@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .data import Dataset, Standardizer, require_finite
 from .errors import DataError, FitError, ModelFormatError
 from .losses import check_canonical, check_eta, get_link, get_loss, loss_total
-from .losses import intercept_shift  # noqa: F401  (kept as model.intercept_shift)
 from .tree import RegressionTree
 
 MODEL_FORMAT_VERSION = 1
@@ -156,6 +156,16 @@ def _as_matrix(rows, names: list[str]) -> np.ndarray:
     return M
 
 
+class Scores(NamedTuple):
+    """Per-row outputs of one pass through the ensemble: delta[:, j] is
+    dimension j's shrunken tree sum, beta = beta_glm + delta, and eta is
+    the linear predictor."""
+
+    delta: np.ndarray
+    beta: np.ndarray
+    eta: np.ndarray
+
+
 class TvcmModel:
     """Intercept + p coefficient functions + loss/link + feature metadata."""
 
@@ -178,53 +188,56 @@ class TvcmModel:
     def kappa(self) -> np.ndarray:
         return np.asarray([cf.kappa for cf in self.coef], dtype=np.int64)
 
-    # -- standardized-space internals (2-D rows of width p) ----------------
-
-    def delta_of_std(self, X_std: np.ndarray) -> np.ndarray:
-        out = np.zeros((X_std.shape[0], self.p))
-        for j, cf in enumerate(self.coef):
-            if not cf.trees:
-                continue
-            Xj = modifier_columns(X_std, self.space.modifier_sets[j])
-            acc = np.zeros(X_std.shape[0])
-            for tree in cf.trees:
-                acc += tree.predict(Xj)
-            out[:, j] = cf.epsilon * acc
-        return out
-
-    def beta_of_std(self, X_std: np.ndarray) -> np.ndarray:
-        return self.beta_glm[None, :] + self.delta_of_std(X_std)
-
-    def eta_std(self, X_std: np.ndarray) -> np.ndarray:
-        return self.beta0 + np.sum(self.beta_of_std(X_std) * X_std, axis=1)
-
     # -- public raw-input surface -------------------------------------------
 
     def _standardized(self, X) -> np.ndarray:
         return self.space.scaler.apply_x(_as_matrix(X, self.space.feature_names))
 
+    def scores(self, X) -> Scores:
+        """Tree sums, coefficients and linear predictor of raw feature
+        rows, from one pass of the rows through every tree."""
+        X_std = self._standardized(X)
+        X_cols = np.asfortranarray(X_std)  # each split reads a whole column
+        delta = np.zeros((X_std.shape[0], self.p))
+        for j, cf in enumerate(self.coef):
+            if not cf.trees:
+                continue
+            Xj = modifier_columns(X_cols, self.space.modifier_sets[j])
+            acc = np.zeros(X_std.shape[0])
+            for tree in cf.trees:
+                acc += tree.predict(Xj)
+            delta[:, j] = cf.epsilon * acc
+        beta = self.beta_glm[None, :] + delta
+        eta = self.beta0 + np.sum(beta * X_std, axis=1)
+        return Scores(delta, beta, eta)
+
+    def mu_from_eta(self, eta) -> np.ndarray:
+        """Mean from the linear predictor; under the log link an eta
+        that would overflow or underflow exp() is an error naming its
+        row."""
+        if self.link.kind == "log":
+            check_eta(eta, context="predict")
+        return self.link.inverse(eta)
+
     def beta_of(self, X) -> np.ndarray:
         """Coefficient vector(s) beta(x) for raw feature rows."""
-        return self.beta_of_std(self._standardized(X))
+        return self.scores(X).beta
 
     def delta_of(self, X) -> np.ndarray:
         """Tree-sum correction(s) to the GLM coefficients, no GLM term."""
-        return self.delta_of_std(self._standardized(X))
+        return self.scores(X).delta
 
     def linear_predictor(self, X, Z=None) -> np.ndarray:
         # ``Z`` is read only by bench/, which still passes the feature
         # matrix a second time; a benchmark-only change deletes it.
         if Z is not None and Z is not X:
             raise DataError("Z must be omitted or be the feature matrix X itself")
-        return self.eta_std(self._standardized(X))
+        return self.scores(X).eta
 
     def predict_mu(self, X, Z=None) -> np.ndarray:
         """Mean prediction for raw feature rows; expected response is w*mu
         under the Poisson profile. ``Z``: see ``linear_predictor``."""
-        eta = self.linear_predictor(X, Z)
-        if self.link.kind == "log":
-            check_eta(eta, context="predict")
-        return self.link.inverse(eta)
+        return self.mu_from_eta(self.linear_predictor(X, Z))
 
 
 # -- GLM fitting (IRLS) -------------------------------------------------------

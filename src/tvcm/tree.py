@@ -14,8 +14,12 @@ scanned along its presorted order (XGBoost's exact greedy scan). Only
 nodes that search carry every presorted column's row order: a leaf
 gets its rows alone, and the columns of a searching node share its
 centered gradients and per-cut row counts (see ``fit_partition``).
-Fitted trees are immutable once published; ``assign``/``predict``/
-``split_gains`` are read-only and safe to share.
+Routing has one descent routine: ``predict`` carries the leaf values
+down the tree with ``np.where`` and ``assign`` carries the leaf ids.
+It reads the node structure from the builder's Python lists and the
+leaf values at call time, because ``adjust_leaves`` sets them after the
+tree is frozen. Fitted trees are immutable once published;
+``assign``/``predict``/``split_gains`` are read-only and safe to share.
 """
 
 from __future__ import annotations
@@ -69,6 +73,7 @@ class RegressionTree:
         "count",
         "gain",
         "n_features",
+        "_route",
     )
 
     def __init__(self, n_features: int):
@@ -94,6 +99,9 @@ class RegressionTree:
         return len(self.feature) - 1
 
     def _freeze(self) -> None:
+        # routing reads the builder's lists: indexing them is cheaper
+        # than indexing numpy scalars
+        self._route = (self.feature, self.threshold, self.left, self.right)
         self.feature = np.asarray(self.feature, dtype=np.int32)
         self.threshold = np.asarray(self.threshold, dtype=float)
         self.left = np.asarray(self.left, dtype=np.int32)
@@ -115,8 +123,9 @@ class RegressionTree:
     def leaf_ids(self) -> np.ndarray:
         return np.flatnonzero(np.asarray(self.feature) < 0)
 
-    def assign(self, Z) -> np.ndarray:
-        """Leaf node id for every row of Z (deterministic descent)."""
+    def _descend(self, Z, payload) -> np.ndarray:
+        """``payload[leaf]`` for the leaf every row of Z descends to; a
+        row equal to a threshold goes left."""
         Z = np.asarray(Z, dtype=float)
         if Z.ndim == 1:
             Z = Z[None, :]
@@ -125,18 +134,29 @@ class RegressionTree:
                 f"modifier row has arity {Z.shape[-1]}, tree expects "
                 f"{self.n_features}"
             )
+        feature, threshold, left, right = self._route
 
         def descend(node):
-            f = self.feature[node]
+            f = feature[node]
             if f < 0:
-                return node
-            left, right = descend(self.left[node]), descend(self.right[node])
-            return np.where(Z[:, f] <= self.threshold[node], left, right)
+                return payload[node]
+            return np.where(
+                Z[:, f] <= threshold[node],
+                descend(left[node]),
+                descend(right[node]),
+            )
 
-        return np.broadcast_to(descend(0), Z.shape[:1]).astype(np.int32)
+        out = descend(0)
+        return np.full(Z.shape[0], out) if np.ndim(out) == 0 else out
+
+    def assign(self, Z) -> np.ndarray:
+        """Leaf node id for every row of Z (deterministic descent)."""
+        return self._descend(Z, range(self.n_nodes)).astype(np.int32)
 
     def predict(self, Z) -> np.ndarray:
-        return self.value[self.assign(Z)]
+        """Leaf value for every row of Z; the values are read at call
+        time, so leaves set by ``adjust_leaves`` are seen."""
+        return self._descend(Z, self.value)
 
     def split_gains(self) -> dict[int, float]:
         """Total split gain per feature index; empty for single-leaf trees."""

@@ -57,6 +57,29 @@ def test_fit_rejects_non_finite_training_data_with_coordinates(field, row, colum
         fit(ds, 1)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0])
+def test_fit_rejects_non_positive_weight_with_coordinates(bad):
+    ds, _ = sim_encoded(n=200, seed=3)
+    w = ds.w.copy()
+    w[[4, 9]] = bad
+    with pytest.raises(
+        DataError, match=r"training data: non-positive weight at row 4, column 'weight'"
+    ):
+        fit(dataclasses.replace(ds, w=w), 1)
+
+
+def test_poisson_fit_rejects_negative_response_with_coordinates():
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((200, 2))
+    y = rng.poisson(np.exp(0.3 * X[:, 0])).astype(float)
+    y[[6, 11]] = -1.0
+    ds = data.Dataset(y=y, w=np.ones(200), X=X, x_names=["a", "b"])
+    with pytest.raises(
+        DataError, match=r"training data: negative response at row 6, column 'response'"
+    ):
+        fit(ds, 1, loss=losses.POISSON, link=losses.LOG)
+
+
 @pytest.mark.parametrize(
     "sets, message",
     [
@@ -108,7 +131,7 @@ def test_single_step_matches_hand_rolled_gradient_step():
         t, std.X, std.X[:, 0], eta0, ds.y, ds.w, losses.GAUSSIAN, losses.IDENTITY
     )
     eta1 = eta0 + t.predict(std.X) * std.X[:, 0]
-    shift = model.intercept_shift(
+    shift = losses.intercept_shift(
         losses.GAUSSIAN, losses.IDENTITY, eta1 - glm.beta0, ds.y, ds.w
     )
     expected = eta1 - glm.beta0 + shift

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import os
+import pathlib
 import tempfile
 
 import numpy as np
@@ -469,3 +470,86 @@ def test_scoring_sees_the_features_training_saw(case):
         fi = [float(r["mean_abs_beta"])
               for r in read_rows(os.path.join(out, "importance_fi_star.csv"))]
         assert np.array_equal(np.asarray(fi), boosting.fi_star(mdl, ds).raw)
+
+
+FIXTURES = pathlib.Path(__file__).parent / "data"
+
+# sha256 of the files ``predict --emit-beta --emit-delta`` and
+# ``importance`` write for each v1 fixture on ``v1_scoring_input``
+V1_SCORING_SHA256 = {
+    "gaussian_v1_model.json": {
+        "importance_fi_star.csv":
+            "0b266fc19bcfff6d8e68061721504dce15c5ca9fc25d390825a21bb23fe0273b",
+        "importance_split_gain.csv":
+            "2c9fa5045337b24974d8efd602b9634cf69a81013966ebd650ddbec6d0d2812b",
+        "predictions.csv":
+            "8b4166d1c45663e1723b1b3f2cbf7edd617bdc544c5ee62b6623b878441e8f18",
+    },
+    "poisson_v1_model.json": {
+        "importance_fi_star.csv":
+            "0d5c34e3d83856a4c04c9ffa262561ff7f9cc34f171721ca0276fd587f09da7f",
+        "importance_split_gain.csv":
+            "06d13cde890ca36aa859e715216174b7ddd0afef49bd48f5d5c39b2b5cd9c2ad",
+        "predictions.csv":
+            "5fdb27eaafc99454f4fa61a2e3522bb305c1fa9a9681a4d5f0bebc6a068c4e20",
+    },
+}
+
+
+def v1_scoring_input(fixture):
+    """Raw CSV columns to score a v1 fixture on, and the encoded feature
+    matrix the model sees for them."""
+    rng = np.random.default_rng(31)
+    n = 40
+    if fixture == "gaussian_v1_model.json":
+        X = rng.standard_normal((n, 8))
+        columns = {f"x{j + 1}": X[:, j] for j in range(8)}
+    else:
+        density = np.round(np.exp(rng.normal(5.0, 1.5, n)))
+        power = rng.integers(4, 10, n).astype(float)
+        diesel = rng.integers(0, 2, n).astype(float)
+        region = rng.integers(0, 3, n)
+        X = np.column_stack(
+            [density, power, diesel, *(region == r for r in range(3))]
+        ).astype(float)
+        columns = {"Density": density, "VehPower": power, "Diesel": diesel,
+                   "Region": [f"R{r + 1}" for r in region]}
+    columns = {"y": rng.poisson(1.0, n).astype(float),
+               "w": rng.uniform(0.1, 1.0, n), **columns}
+    return columns, X
+
+
+@pytest.mark.parametrize("fixture", sorted(V1_SCORING_SHA256))
+def test_v1_fixture_scoring_outputs_equal_the_model_bit_for_bit(fixture, tmp_path):
+    columns, X = v1_scoring_input(fixture)
+    data_csv = tmp_path / "score.csv"
+    with open(data_csv, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(columns))
+        for row in zip(*columns.values()):
+            writer.writerow([v if isinstance(v, str) else repr(float(v)) for v in row])
+    model_json = FIXTURES / fixture
+    out = tmp_path / "out"
+    assert run(["predict", "--model", model_json, "--data", data_csv,
+                "--emit-beta", "--emit-delta", "--out", out]) == 0
+    assert run(["importance", "--model", model_json, "--data", data_csv,
+                "--out", out]) == 0
+
+    mdl = model.load_model(model_json)
+    names = mdl.space.feature_names
+    with open(out / "predictions.csv", newline="") as fh:
+        header, *body = list(csv.reader(fh))
+    got = np.asarray([[float(c) for c in r] for r in body])
+    mu = mdl.predict_mu(X)
+    assert np.array_equal(got[:, header.index("mu_hat")], mu)
+    if mdl.loss.kind == "poisson_deviance":
+        assert np.array_equal(got[:, header.index("expected_response")],
+                              columns["w"] * mu)
+    beta_cols = [header.index(f"beta_hat_{n}") for n in names]
+    assert np.array_equal(got[:, beta_cols], mdl.beta_of(X))
+    delta_cols = [header.index(f"delta_{n}") for n in names]
+    assert np.array_equal(got[:, delta_cols], mdl.delta_of(X))
+    ds = data.Dataset(y=np.zeros(len(X)), w=np.ones(len(X)), X=X, x_names=list(names))
+    fi = [float(r["mean_abs_beta"]) for r in read_rows(out / "importance_fi_star.csv")]
+    assert np.array_equal(np.asarray(fi), boosting.fi_star(mdl, ds).raw)
+    assert dir_digests(out) == V1_SCORING_SHA256[fixture]

@@ -154,11 +154,11 @@ def test_recalibrate_fixed_point_and_shift_invariance():
     mdl = gaussian_fit(ds, kappa=10).model
     rest = mdl.linear_predictor(ds.X) - mdl.beta0
     # a trained model's intercept is already the stationary one
-    beta0 = model.intercept_shift(mdl.loss, mdl.link, rest, ds.y, ds.w)
+    beta0 = losses.intercept_shift(mdl.loss, mdl.link, rest, ds.y, ds.w)
     assert beta0 == pytest.approx(mdl.beta0, abs=1e-10)
     # shifting the rest of the predictor by a constant shifts the
     # recalibrated intercept back by the same constant
-    back = model.intercept_shift(mdl.loss, mdl.link, rest + 3.7, ds.y, ds.w)
+    back = losses.intercept_shift(mdl.loss, mdl.link, rest + 3.7, ds.y, ds.w)
     assert back == pytest.approx(beta0 - 3.7, abs=1e-10)
 
 

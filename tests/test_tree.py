@@ -321,6 +321,58 @@ def test_routing_matches_region_scan():
         assert int(assigned[i]) == int(leaves[k])
 
 
+@st.composite
+def adjusted_trees(draw):
+    """A fitted tree of depth 1-3 whose leaf values ``adjust_leaves`` set
+    after it was frozen, some then overwritten with -0.0, plus query
+    rows that include one row sitting exactly on each threshold."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, q = draw(st.integers(1, 60)), draw(st.integers(1, 3))
+    if draw(st.booleans()):  # tied values
+        Z = rng.integers(0, 4, (n, q)).astype(float)
+    else:
+        Z = rng.standard_normal((n, q))
+    constant = draw(st.booleans())  # constant gradients: one leaf
+    g = np.ones(n) if constant else rng.standard_normal(n)
+    depth, min_leaf = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    tree = fit_partition(g, Z, TreeConfig(depth, min_leaf))
+    x = np.where(rng.random(n) < 0.2, 0.0, rng.standard_normal(n))
+    adjust_leaves(tree, Z, x, np.zeros(n), rng.standard_normal(n), np.ones(n),
+                  losses.GAUSSIAN, losses.IDENTITY)
+    for lid in tree.leaf_ids().tolist():
+        if draw(st.booleans()):
+            tree.value[lid] = -0.0
+    internal = np.flatnonzero(tree.feature >= 0)
+    on_threshold = np.repeat(Z[:1], internal.size, axis=0)
+    on_threshold[np.arange(internal.size), tree.feature[internal]] = (
+        tree.threshold[internal]
+    )
+    return tree, np.vstack([Z, on_threshold, rng.standard_normal((5, q))])
+
+
+def descend_one_row(tree, row):
+    node = 0
+    while tree.feature[node] >= 0:
+        go_left = row[tree.feature[node]] <= tree.threshold[node]
+        node = tree.left[node] if go_left else tree.right[node]
+    return int(node)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(adjusted_trees())
+def test_predict_equals_leaf_values_of_assign_bit_for_bit(case):
+    tree, queries = case
+    for Q in (queries, queries[:0], queries[0]):  # many, zero and one 1-D row
+        leaf = tree.assign(Q)
+        assert leaf.dtype == np.int32
+        rows = np.atleast_2d(Q)
+        assert leaf.tolist() == [descend_one_row(tree, r) for r in rows]
+        got, expected = tree.predict(Q), tree.value[leaf]
+        assert got.dtype == np.float64 and got.shape == (rows.shape[0],)
+        # compared as bit patterns, so -0.0 and 0.0 differ
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
 def test_adjust_zero_direction_leaf():
     tree = fit_partition(
         np.array([1.0, -1.0]), np.array([[0.0], [1.0]]), TreeConfig(1, 1)
