@@ -149,9 +149,9 @@ def _resolve_modifier_sets(config: BoostConfig, ds: Dataset) -> list[np.ndarray]
 
 class _CycleState:
     """Mutable trainer state over one dataset: cached eta and training
-    loss, one split-search index (``presort_columns``: bin codes for
-    low-cardinality columns, sort orders for the rest) per unique
-    modifier subset, accumulated trees."""
+    loss, one split-search index (``presort_columns``: one bundle per
+    one-hot group, bin codes for other low-cardinality columns, sort
+    orders for the rest) per unique modifier subset, accumulated trees."""
 
     def __init__(self, ds: Dataset, glm: GlmCoefficients, config: BoostConfig,
                  loss, link, modifier_sets):
@@ -173,7 +173,13 @@ class _CycleState:
             if key not in subsets:
                 # column-major: the split scan gathers whole columns
                 sub = np.asfortranarray(ds.X[:, idx])
-                subsets[key] = (sub, presort_columns(sub))
+                # each one-hot group's members in this subset, by position
+                local = {ds.x_names[f]: i for i, f in enumerate(key)}
+                sub_groups = [[local[m] for m in members if m in local]
+                              for members in ds.onehot_groups.values()]
+                subsets[key] = (
+                    sub, presort_columns(sub, [g for g in sub_groups if g])
+                )
             sub, pre = subsets[key]
             self._modifiers.append(sub)
             self._presorted.append(pre)
@@ -341,7 +347,7 @@ def tune_kappa(
         margin = 0.0
         if stopping.acceptance_z > 0.0:
             # dL/deta per validation row times the delta: the noise margin
-            score = loss.deriv_mu(
+            score = loss._deriv(
                 link.inverse(eta_va), ds_va.y, ds_va.w
             ) * link.inverse_deriv(eta_va)
             contrib = score * delta_va

@@ -10,7 +10,13 @@ Every evaluation takes ``w`` explicitly; pass ``w = 1`` for unweighted
 data. The response ``y`` lives on the same scale as the mean ``mu``, so
 count data observed over an exposure ``w`` enters as ``y = count / w``.
 
-All functions are pure and accept scalars or numpy arrays.
+All functions are pure and accept scalars or numpy arrays. The public
+``value``/``deriv_mu`` check their inputs. The fit's inner loop
+(``directional_gradient``, ``loss_total``, the leaf-step guard, the
+tuning noise margin) calls the private ``_value``/``_deriv`` instead:
+same arithmetic, with y and w trusted because ``fit_tvcm`` checks them
+once at entry. They keep the Poisson mu > 0 test, since mu there comes
+from a stepped linear predictor that no entry check covers.
 """
 
 from __future__ import annotations
@@ -55,6 +61,11 @@ def _check_weights(w):
         raise DomainError("weights must be strictly positive")
 
 
+def _check_mu(mu):
+    if (np.asarray(mu) <= 0).any():
+        raise DomainError("Poisson deviance requires mu > 0")
+
+
 class GaussianDeviance:
     """Weighted squared-error deviance: w * (y - mu)^2."""
 
@@ -62,12 +73,18 @@ class GaussianDeviance:
 
     def value(self, mu, y, w):
         _check_weights(w)
+        return self._value(mu, y, w)
+
+    def deriv_mu(self, mu, y, w):
+        _check_weights(w)
+        return self._deriv(mu, y, w)
+
+    def _value(self, mu, y, w):
         mu = np.asarray(mu, dtype=float)
         y = np.asarray(y, dtype=float)
         return w * (y - mu) ** 2
 
-    def deriv_mu(self, mu, y, w):
-        _check_weights(w)
+    def _deriv(self, mu, y, w):
         mu = np.asarray(mu, dtype=float)
         y = np.asarray(y, dtype=float)
         return -2.0 * w * (y - mu)
@@ -82,23 +99,29 @@ class PoissonDeviance:
 
     kind = "poisson_deviance"
 
-    def _validate(self, mu, y, w):
+    def _validate(self, y, w):
         _check_weights(w)
-        if np.any(np.asarray(mu) <= 0):
-            raise DomainError("Poisson deviance requires mu > 0")
         if np.any(np.asarray(y) < 0):
             raise DomainError("Poisson deviance requires y >= 0")
 
     def value(self, mu, y, w):
-        self._validate(mu, y, w)
+        self._validate(y, w)
+        return self._value(mu, y, w)
+
+    def deriv_mu(self, mu, y, w):
+        self._validate(y, w)
+        return self._deriv(mu, y, w)
+
+    def _value(self, mu, y, w):
+        _check_mu(mu)
         mu = np.maximum(np.asarray(mu, dtype=float), MU_FLOOR)
         y = np.asarray(y, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
             ylog = np.where(y > 0, y * np.log(np.where(y > 0, y, 1.0) / mu), 0.0)
         return 2.0 * w * (mu - y + ylog)
 
-    def deriv_mu(self, mu, y, w):
-        self._validate(mu, y, w)
+    def _deriv(self, mu, y, w):
+        _check_mu(mu)
         mu = np.maximum(np.asarray(mu, dtype=float), MU_FLOOR)
         y = np.asarray(y, dtype=float)
         return 2.0 * w * (1.0 - y / mu)
@@ -168,13 +191,13 @@ def directional_gradient(loss, link, x, eta, y, w):
 
     For observation i this is x_ij * dL/dmu * d(inverse link)/d(eta),
     evaluated at the current linear predictor. The x factor multiplies
-    last, so scaling in x is exact.
+    last, so scaling in x is exact. y and w are not checked here.
     """
     eta = np.asarray(eta, dtype=float)
     if link.kind == "log":
         check_eta(eta, context="directional gradient")
     mu = link.inverse(eta)
-    base = loss.deriv_mu(mu, y, w) * link.inverse_deriv(eta)
+    base = loss._deriv(mu, y, w) * link.inverse_deriv(eta)
     return np.asarray(x, dtype=float) * base
 
 
@@ -182,10 +205,11 @@ def loss_total(loss, link, eta, y, w) -> float:
     """Total loss at linear predictor eta, accumulated in extended precision.
 
     Extended precision keeps successive totals comparable at the 1e-10
-    absolute level used by the monotone-training check.
+    absolute level used by the monotone-training check. y and w are not
+    checked here; a Poisson mean that underflows to 0 is a DomainError.
     """
     mu = link.inverse(np.asarray(eta, dtype=float))
-    return float(np.sum(loss.value(mu, y, w), dtype=np.longdouble))
+    return float(np.sum(loss._value(mu, y, w), dtype=np.longdouble))
 
 
 def intercept_shift(loss, link, partial_eta, y, w) -> float:

@@ -7,13 +7,17 @@ bracketed Newton on the derivative otherwise (see ``adjust_leaves``).
 Candidate thresholds are midpoints between consecutive distinct sorted
 feature values; among equal-gain splits the lowest feature index wins,
 then the lowest threshold, and values equal to a threshold route left.
-Split search is exact either way a column is scanned: a column with at
-most one distinct value per 8 rows gets one histogram bin per value
-(LightGBM's histogram scan with exact bins), every other column is
-scanned along its presorted order (XGBoost's exact greedy scan). Only
-nodes that search carry every presorted column's row order: a leaf
-gets its rows alone, and the columns of a searching node share its
-centered gradients and per-cut row counts (see ``fit_partition``).
+Split search is exact however a column is scanned. The members of a
+one-hot group are never 1 on the same row, so the group is one bundle
+with one histogram bin per member (LightGBM's exclusive feature
+bundling), and each member's split puts its own bin on the right. Any
+other column with at most one distinct value per 8 rows gets one
+histogram bin per value (LightGBM's histogram scan with exact bins),
+and every other column is scanned along its presorted order (XGBoost's
+exact greedy scan). Only nodes that search carry every presorted
+column's row order: a leaf gets its rows alone, and the columns of a
+searching node share its centered gradients and per-cut row counts
+(see ``fit_partition``).
 Routing has one descent routine: ``predict`` carries the leaf values
 down the tree with ``np.where`` and ``assign`` carries the leaf ids.
 It reads the node structure from the builder's Python lists and the
@@ -214,15 +218,19 @@ class RegressionTree:
 class SplitIndex:
     """Split-search index over one modifier matrix, reusable across trees.
 
-    A column is binned when its distinct values times ``_BIN_RATIO`` are
-    at most the row count. ``codes[:, b]`` holds the rank of each row's
-    value among the sorted distinct values ``levels[b]`` of binned column
-    ``binned[b]``, offset by ``b * n_bins``, so one ``bincount`` over a
-    node's rows histograms every binned column at once. Every other
-    column keeps its stable sort order. ``orders[0]`` is column 0's
-    stable sort order, the row order every node keeps; ``sorted_slots``
-    maps each presorted column to its slot in ``orders`` (column 0, when
-    presorted, is slot 0).
+    A one-hot group's member columns (never 1 on the same row) form one
+    bundle: ``bundles[c]`` lists its member columns, and its code is the
+    member index plus 1, or 0 for a row in no member. Of the other
+    columns, one is binned when its distinct values times ``_BIN_RATIO``
+    are at most the row count, with the rank of each row's value among
+    the sorted distinct values ``levels[b]`` of column ``binned[b]`` as
+    its code. ``codes`` holds the binned columns' codes, then the
+    bundles', column c offset by ``c * n_bins``, so one ``bincount`` over
+    a node's rows histograms every binned column and bundle at once.
+    Every other column keeps its stable sort order. ``orders[0]`` is
+    column 0's stable sort order, the row order every node keeps;
+    ``sorted_slots`` maps each presorted column to its slot in
+    ``orders`` (column 0, when presorted, is slot 0).
     """
 
     orders: tuple
@@ -231,24 +239,43 @@ class SplitIndex:
     codes: np.ndarray
     levels: tuple
     n_bins: int
+    bundles: tuple
 
 
-def presort_columns(Z) -> SplitIndex:
+def presort_columns(Z, groups=()) -> SplitIndex:
     """Split-search index of Z, reusable across trees on the same Z.
 
-    Every column is stably sorted once. A column with distinct values
-    times ``_BIN_RATIO`` at most the row count keeps the rank of each
-    row's value as a bin code; every other column keeps its sort order.
+    ``groups`` lists the columns of each one-hot group. A group whose
+    columns hold only 0 and 1, with at most one 1 per row, becomes one
+    bundle and its columns are not sorted (bar column 0, whose order
+    every node keeps); any other group's columns are treated as
+    ungrouped. Every ungrouped column is stably sorted once. One with
+    distinct values times ``_BIN_RATIO`` at most the row count keeps the
+    rank of each row's value as a bin code; every other column keeps its
+    sort order.
     """
     Z = np.asarray(Z, dtype=float)
     n, q = Z.shape
+    bundles, bundle_codes = [], []
+    for members in groups:
+        members = np.asarray(members, dtype=np.int64)
+        block = Z[:, members]
+        if np.all((block == 0.0) | (block == 1.0)) and np.all(block.sum(axis=1) <= 1.0):
+            bundles.append(members)
+            code = block @ np.arange(1.0, members.size + 1)
+            bundle_codes.append(code.astype(np.intp))
+    bundled = {f for members in bundles for f in members.tolist()}
     orders, sorted_slots, binned, ranks, levels = [], {}, [], [], []
     for f in range(q):
+        if f in bundled and f > 0:
+            continue
         order = np.argsort(Z[:, f], kind="stable").astype(np.int64)
-        v = Z[order, f]
-        new_value = v[1:] != v[:-1]
         if f == 0:  # every node's row order, whether or not column 0 is binned
             orders.append(order)
+        if f in bundled:
+            continue
+        v = Z[order, f]
+        new_value = v[1:] != v[:-1]
         if (int(np.count_nonzero(new_value)) + 1) * _BIN_RATIO > n:
             if f > 0:
                 orders.append(order)
@@ -259,22 +286,27 @@ def presort_columns(Z) -> SplitIndex:
         binned.append(f)
         ranks.append(rank)
         levels.append(v[np.concatenate(([True], new_value))])
-    n_bins = max((lv.size for lv in levels), default=0)
-    codes = np.empty((n, len(binned)), dtype=np.intp)
-    for b, rank in enumerate(ranks):
-        codes[:, b] = rank + b * n_bins
+    n_bins = max(
+        [lv.size for lv in levels] + [b.size + 1 for b in bundles], default=0
+    )
+    codes = np.empty((n, len(ranks) + len(bundle_codes)), dtype=np.intp)
+    for c, code in enumerate(ranks + bundle_codes):
+        codes[:, c] = code + c * n_bins
     return SplitIndex(
         tuple(orders), sorted_slots, np.asarray(binned, dtype=np.int64),
-        codes, tuple(levels), n_bins,
+        codes, tuple(levels), n_bins, tuple(bundles),
     )
 
 
-def _split_gain(s_left, n_left, n_right, total, m):
+def _split_gain(s_left, n_left, s_right, n_right, total, m):
     """Squared-error reduction from splitting m rows whose centered
     gradients sum to ``total`` into n_left rows summing to s_left and
-    n_right = m - n_left rows holding the rest."""
-    s_right = total - s_left
-    gain = s_left * s_left / n_left + s_right * s_right / n_right
+    n_right rows summing to s_right. Overwrites ``s_right``."""
+    gain = s_left * s_left
+    gain /= n_left
+    s_right *= s_right
+    s_right /= n_right
+    gain += s_right
     gain -= total * total / m
     return gain
 
@@ -294,7 +326,8 @@ def _best_split_for_feature(v, gc, lo, n_left, n_right):
     if not valid.any():
         return None
     cs = gc.cumsum()
-    gain = _split_gain(cs[lo:hi], n_left, n_right, cs[-1], gc.size)
+    s_left = cs[lo:hi]
+    gain = _split_gain(s_left, n_left, cs[-1] - s_left, n_right, cs[-1], gc.size)
     if not valid.all():  # tied values: no cut between equal values
         gain[~valid] = -math.inf
     k = int(gain.argmax())  # first max: lowest threshold wins ties
@@ -302,28 +335,47 @@ def _best_split_for_feature(v, gc, lo, n_left, n_right):
 
 
 def _best_splits_binned(index: SplitIndex, rows, gc, min_leaf):
-    """Best gain and bin of every binned column at one node.
+    """Best cut of every binned column and the gain of every bundle
+    member at one node.
 
     Per-bin sums of the centered gradients ``gc`` (aligned with
-    ``rows``) and per-bin row counts come from one bincount each; a
-    cut after bin k is valid when bin k is non-empty and both sides keep
-    min_leaf rows. Returns (gains, bins, counts); a column without a
-    valid cut has gain -inf.
+    ``rows``) and per-bin row counts come from one bincount each. On a
+    binned column, a cut after bin k is valid when bin k is non-empty and
+    both sides keep min_leaf rows. A bundle member's split puts its own
+    bin on the right and every other bin, summed as the bins below plus
+    the bins above it, on the left; so the members of a two-member
+    bundle that covers every row get bit-equal gains. Returns (gains, bins, counts)
+    of the binned columns and one gain row per bundle, indexed by member;
+    a split without enough rows on a side has gain -inf.
     """
-    nb, m = index.binned.size, rows.size
+    nc, nb, m = index.codes.shape[1], index.n_bins, rows.size
     codes = index.codes[rows].ravel()
-    size = nb * index.n_bins
-    sums = np.bincount(codes, weights=np.repeat(gc, nb), minlength=size)
-    counts = np.bincount(codes, minlength=size).reshape(nb, index.n_bins)
-    cs = sums.reshape(nb, index.n_bins).cumsum(axis=1)
+    size = nc * nb
+    sums = np.bincount(codes, weights=np.repeat(gc, nc), minlength=size)
+    sums = sums.reshape(nc, nb)
+    counts = np.bincount(codes, minlength=size).reshape(nc, nb)
+    cs = sums.cumsum(axis=1)
     n_left = counts.cumsum(axis=1)
+    k = index.binned.size
+    cs, bundle_cs = cs[:k], cs[k:]
+    n_left, counts, bundle_counts = n_left[:k], counts[:k], counts[k:]
+    total = cs[:, -1:]
     n_right = m - n_left
+    # above[:, j]: the sum of the bins after bin j
+    above = np.zeros_like(bundle_cs)
+    above[:, :-1] = sums[k:, :0:-1].cumsum(axis=1)[:, ::-1]
+    member_n = bundle_counts[:, 1:]
     with np.errstate(divide="ignore", invalid="ignore"):
-        gain = _split_gain(cs, n_left, n_right, cs[:, -1:], m)
+        gain = _split_gain(cs, n_left, total - cs, n_right, total, m)
+        member_gain = _split_gain(
+            bundle_cs[:, :-1] + above[:, 1:], m - member_n,
+            sums[k:, 1:], member_n, bundle_cs[:, -1:], m,
+        )
     valid = (counts > 0) & (n_left >= min_leaf) & (n_right >= min_leaf)
     gain[~valid] = -np.inf
+    member_gain[(member_n < min_leaf) | (m - member_n < min_leaf)] = -np.inf
     bins = gain.argmax(axis=1)  # first max: lowest threshold wins ties
-    return gain[np.arange(nb), bins], bins, counts
+    return gain[np.arange(k), bins], bins, counts, member_gain
 
 
 def fit_partition(
@@ -341,10 +393,11 @@ def fit_partition(
     a single-leaf tree. Leaf values are left at 0 pending adjust_leaves.
     ``presorted`` is ``presort_columns(modifiers)``, built here when
     None. Presorted columns are scanned along their sort orders, binned
-    columns through one histogram per node; the best gain of each column
-    enters one gain vector whose first maximum wins. ``assign_out``
-    (int32, length n) receives each row's leaf id, saving a routing
-    pass.
+    columns and bundles through one histogram per node; the best gain of
+    each column enters one gain vector whose first maximum wins. A split
+    on a bundle member has threshold 0.5, so its rows go right.
+    ``assign_out`` (int32, length n) receives each row's leaf id, saving
+    a routing pass.
 
     A node carries one row order per presorted column, filtered from its
     parent's at the split. Children at max_depth are leaves, which read
@@ -355,14 +408,15 @@ def fit_partition(
     by every column's scan.
     """
     g = np.ascontiguousarray(gradients, dtype=float)
-    Z = np.asarray(modifiers, dtype=float)
+    Z = np.asfortranarray(modifiers, dtype=float)
     if Z.ndim != 2:
         raise DomainError("modifiers must be a 2-D matrix")
     n, q = Z.shape
     if g.shape != (n,):
         raise DomainError("gradient length must equal modifier row count")
     index = presort_columns(Z) if presorted is None else presorted
-    cols = [np.ascontiguousarray(Z[:, f]) for f in range(q)]
+    cols = [Z[:, f] for f in range(q)]  # contiguous: Z is column-major
+    bundled = {f for members in index.bundles for f in members.tolist()}
     # left-side row counts of every cut position, sliced per node
     ranks = np.arange(1, n + 1, dtype=float)
 
@@ -379,8 +433,8 @@ def fit_partition(
         lo = min_leaf - 1  # cut positions lo..m-min_leaf-1
         n_left = ranks[lo : m - min_leaf]
         n_right = m - n_left
-        gains = [-math.inf] * q
-        cuts = [0] * q  # sorted position (presorted) or bin (binned)
+        gains = np.full(q, -math.inf)
+        cuts = {}  # sorted position of each presorted column's best cut
         for f, slot in index.sorted_slots.items():
             o = orders[slot]
             found = _best_split_for_feature(
@@ -388,28 +442,38 @@ def fit_partition(
             )
             if found is not None:
                 gains[f], cuts[f] = found
-        if index.binned.size:
-            b_gains, bins, counts = _best_splits_binned(
+        if index.codes.shape[1]:
+            b_gains, bins, counts, member_gains = _best_splits_binned(
                 index, orders[0], gc, min_leaf
             )
-            found = zip(index.binned.tolist(), b_gains.tolist(), bins.tolist())
-            for f, gain, k in found:
-                gains[f], cuts[f] = gain, k
-        f = max(range(q), key=gains.__getitem__)  # first max: lowest feature
-        if gains[f] == -math.inf:
+            gains[index.binned] = b_gains
+            for members, member_gain in zip(index.bundles, member_gains):
+                gains[members] = member_gain[: members.size]
+        f = int(gains.argmax())  # first max: lowest feature
+        gain = float(gains[f])
+        if gain == -math.inf:
             return None
-        k = cuts[f]
+        if f in bundled:
+            # the bundle gain only ranks the split; the stored gain is the
+            # member column's own two-bin histogram, as a binned column
+            # gets it, so fitted models keep their bytes
+            right = cols[f][orders[0]] > 0.5
+            s = np.bincount(right, weights=gc, minlength=2)
+            total, n_right = s[0] + s[1], int(np.count_nonzero(right))
+            gain = _split_gain(s[0], m - n_right, total - s[0], n_right, total, m)
+            return float(gain), f, 0.5
         if f in index.sorted_slots:
             o = orders[index.sorted_slots[f]]
-            below, above = cols[f][o[k]], cols[f][o[k + 1]]
+            below, above = cols[f][o[cuts[f]]], cols[f][o[cuts[f] + 1]]
         else:  # the next non-empty bin holds the next value up
             b = int(np.searchsorted(index.binned, f))
+            k = int(bins[b])
             up = k + 1 + int(np.flatnonzero(counts[b, k + 1 :])[0])
             below, above = index.levels[b][k], index.levels[b][up]
         thr = 0.5 * (below + above)
         if thr >= above:  # midpoint rounded up between adjacent floats
             thr = below
-        return gains[f], f, float(thr)
+        return gain, f, float(thr)
 
     def build(orders: list, depth: int) -> int:
         rows = orders[0]
@@ -542,8 +606,8 @@ def adjust_leaves(
             gamma = _newton_gamma(xs, es, ys, ws, loss, link)
         if gamma != 0.0:
             with np.errstate(over="ignore", invalid="ignore"):
-                f_new = float(np.sum(loss.value(link.inverse(es + gamma * xs), ys, ws)))
-                f_zero = float(np.sum(loss.value(link.inverse(es), ys, ws)))
+                f_new = float(loss._value(link.inverse(es + gamma * xs), ys, ws).sum())
+                f_zero = float(loss._value(link.inverse(es), ys, ws).sum())
             if not np.isfinite(f_new) or f_new > f_zero:
                 logger.warning("leaf step would increase loss; using 0")
                 gamma = 0.0

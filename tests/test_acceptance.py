@@ -284,9 +284,56 @@ def test_binned_scan_oracle_equivalence():
         assert partition_sse(g, fit_rows) == partition_sse(g, ref_rows)
         _node_thresholds_follow_midpoint_rule(fitted, Z)
     assert mixed >= 20 and col0_binned >= 100
+    # one-hot groups: each is one bundle, scanned as "member k on the
+    # right", among binned indicators and continuous columns. A group may
+    # have two levels (mirror-image members) or be partial (some rows in
+    # no member), and may hold column 0
+    two_level = partial = col0_bundled = 0
+    for rep in range(100):
+        n = int(rng.integers(16, 161))
+        min_leaf = int(rng.integers(1, 6))
+        depth = int(rng.integers(1, 4))
+        blocks, groups, plain, q = [], [], [], 0
+        for _ in range(int(rng.integers(1, 5))):
+            kind = rng.random()
+            if kind < 0.6:
+                levels = int(rng.integers(2, 6))
+                keep = levels if rng.random() < 0.5 else int(rng.integers(1, levels))
+                codes = rng.integers(0, levels, size=n)
+                blocks.append((codes[:, None] == np.arange(keep)).astype(float))
+                groups.append(list(range(q, q + keep)))
+                two_level += levels == keep == 2
+                partial += keep < levels
+            else:
+                blocks.append(
+                    rng.standard_normal((n, 1)) if kind < 0.8
+                    else (rng.random((n, 1)) < rng.uniform(0.1, 0.9)).astype(float)
+                )
+                plain.append(q)
+            q += blocks[-1].shape[1]
+        Z = np.hstack(blocks)
+        g = rng.standard_normal(n)
+        index = tree.presort_columns(Z, groups)
+        assert [b.tolist() for b in index.bundles] == groups
+        assert set(index.binned.tolist()) | set(index.sorted_slots) == set(plain)
+        col0_bundled += bool(groups) and groups[0][0] == 0
+        fitted = tree.fit_partition(
+            g, Z, tree.TreeConfig(depth, min_leaf), presorted=index
+        )
+        ref = greedy_tree_brute(g, Z, depth, min_leaf)
+        fit_rows = sorted(tuple(np.sort(r).tolist()) for r in fitted_leaf_rows(fitted, Z))
+        ref_rows = sorted(tuple(r.tolist()) for r in tree_leaf_rows(ref))
+        # the oracle breaks the mirror tie of a two-level group by
+        # rounding, so its leaves may come in mirrored order; equal
+        # sorted leaves also give bit-equal SSE
+        assert fit_rows == ref_rows, f"partition mismatch at grouped dataset {rep}"
+        _node_thresholds_follow_midpoint_rule(fitted, Z)
+    assert two_level >= 10 and partial >= 20 and col0_bundled >= 30
     print(
         f"binned-scan oracle PASS: 200 datasets ({mixed} mixing both scans, "
-        f"{col0_binned} with column 0 binned) match the exhaustive oracle"
+        f"{col0_binned} with column 0 binned) and 100 with one-hot groups "
+        f"({two_level} two-level and {partial} partial groups, "
+        f"{col0_bundled} with column 0 bundled) match the exhaustive oracle"
     )
 
 

@@ -467,3 +467,31 @@ def test_tune_reuses_train_loss_after_rejection(monkeypatch):
     for prev, row in zip(result.trace, result.trace[1:]):
         if not row.accepted:
             assert row.train_loss == prev.train_loss
+
+
+def test_poisson_fit_calls_no_checked_loss_evaluation(monkeypatch):
+    # fit_tvcm checks y and w once at entry; tuning (noise margin
+    # included), training and the leaf-step guard then evaluate the loss
+    # without re-running those checks
+    rng = np.random.default_rng(14)
+    n = 1500
+    X = rng.standard_normal((n, 3))
+    w = rng.uniform(0.5, 2.0, size=n)
+    counts = rng.poisson(w * np.exp(-1 + 0.5 * X[:, 0] - 0.3 * X[:, 1] * X[:, 2]))
+    ds = data.Dataset(y=counts / w, w=w, X=X, x_names=["a", "b", "c"])
+    calls = []
+    for name in ("value", "deriv_mu"):
+        real = getattr(losses.POISSON, name)
+
+        def counting(*args, _name=name, _real=real):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(losses.POISSON, name, counting)
+    stopping = boosting.StoppingConfig(patience=3, seed=2, acceptance_z=1.0)
+    res = fit(ds, kappa=10, loss=losses.POISSON, link=losses.LOG,
+              min_leaf=20, stopping=stopping, epsilon=0.1)
+    assert res.model.kappa.sum() > 0
+    assert calls == []
+    losses.POISSON.value(1.0, 1.0, 1.0)
+    assert calls == ["value"]  # the counter is live

@@ -140,6 +140,13 @@ def test_poisson_domain_errors():
         losses.POISSON.deriv_mu(0.0, 1.0, 1.0)
 
 
+def test_loss_total_rejects_a_poisson_mean_that_underflows():
+    # the fit's unchecked evaluation trusts y and w, but not a mean from a
+    # stepped linear predictor: exp(-800) is 0
+    with pytest.raises(DomainError, match="mu > 0"):
+        losses.loss_total(losses.POISSON, losses.LOG, [-800.0], 1.0, 1.0)
+
+
 def test_nonpositive_weight_rejected():
     with pytest.raises(DomainError):
         losses.GAUSSIAN.value(1.0, 1.0, 0.0)

@@ -203,6 +203,80 @@ def test_binned_value_equal_to_threshold_routes_left():
     assert tree.assign(np.array([[lo], [hi]])).tolist() == [left, int(tree.right[0])]
 
 
+def onehot(codes, levels):
+    return (np.asarray(codes)[:, None] == np.arange(levels)).astype(float)
+
+
+def test_two_level_group_tie_records_the_lower_column():
+    # the members of a two-level group split every node the same way;
+    # their bundle gains are bit-equal, so the lower column wins whichever
+    # order the group lists them in
+    rng = np.random.default_rng(21)
+    n = 200
+    gas = onehot(rng.random(n) < 0.4, 2)
+    Z = np.column_stack([rng.standard_normal(n), gas])
+    for groups in ([[1, 2]], [[2, 1]]):
+        index = presort_columns(Z, groups)
+        assert [b.tolist() for b in index.bundles] == groups
+        for seed in range(20):
+            g = np.random.default_rng(seed).standard_normal(n) + 3.0 * gas[:, 1]
+            tree = fit_partition(g, Z, TreeConfig(1, 5), presorted=index)
+            assert int(tree.feature[0]) == 1
+            assert float(tree.threshold[0]) == 0.5
+
+
+@pytest.mark.parametrize("partial", [False, True], ids=["whole", "partial"])
+def test_bundled_scan_records_the_per_column_trees(partial):
+    # bundles change how member splits are found, not which: trees and
+    # their stored gains are those of scanning every member on its own.
+    # A partial group (a level left out) leaves some rows in no member
+    rng = np.random.default_rng(30)
+    n = 400
+    region, brand = rng.integers(0, 5, n), rng.integers(0, 3, n)
+    Z = np.column_stack(
+        [
+            onehot(region, 5),
+            rng.integers(0, 6, n).astype(float),
+            rng.standard_normal(n),
+            onehot(brand, 3),
+        ]
+    )
+    groups = [[0, 1, 2, 3, 4], [7, 8, 9]]
+    if partial:
+        Z = np.delete(Z, [2, 8], axis=1)
+        groups = [[0, 1, 2, 3], [6, 7]]
+    index = presort_columns(Z, groups)
+    assert [b.tolist() for b in index.bundles] == groups
+    assert index.binned.tolist() == [len(groups[0])]
+    per_column = presort_columns(Z)
+    cfg = TreeConfig(3, 10)
+    features = set()
+    for _ in range(10):
+        g = rng.standard_normal(n) + (region == 1) - 0.7 * (brand == 2)
+        bundled = fit_partition(g, Z, cfg, presorted=index)
+        plain = fit_partition(g, Z, cfg, presorted=per_column)
+        for attr in ("feature", "threshold", "left", "right", "count", "gain"):
+            a, b = getattr(bundled, attr), getattr(plain, attr)
+            assert a.tobytes() == b.tobytes(), attr
+        features.update(bundled.feature.tolist())
+    assert features & set(groups[0]) and features & set(groups[1])
+
+
+def test_group_that_is_not_one_hot_is_scanned_per_column():
+    # a group whose columns are not 0/1 with at most one 1 per row gets
+    # no bundle: its columns are scanned one by one
+    rng = np.random.default_rng(5)
+    n = 80
+    members = onehot(rng.integers(0, 3, n), 3)
+    overlap = members.copy()
+    overlap[0, :2] = 1.0
+    scaled = 2.0 * members
+    for Z in (overlap, scaled):
+        index = presort_columns(Z, [[0, 1, 2]])
+        assert index.bundles == ()
+        assert index.binned.tolist() == [0, 1, 2]
+
+
 def test_fit_partition_builds_the_same_index_when_none_is_given():
     rng = np.random.default_rng(12)
     n = 400
