@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import Dataset, require_all, require_finite, split, standardize
+from .data import Dataset, require_fit_data, split, standardize
 from .errors import ConfigError, FitError
 from .losses import check_canonical, intercept_shift, loss_total
 from .model import (
@@ -281,9 +281,11 @@ def train(
     ``dataset`` must be encoded and standardized with ``scaler``. Every
     candidate is accepted, so dimension j gets exactly kappa_j trees.
     The intercept is recalibrated once, after all boosting. Returns the
-    model plus the per-(cycle, dimension) training-loss trace.
+    model plus the per-(cycle, dimension) training-loss trace. Bad
+    training data is a DataError, as in ``fit_tvcm``.
     """
     check_canonical(loss, link)
+    require_fit_data(dataset, loss)
     kappa = config.kappa_vector(dataset.p)
     modifier_sets = _resolve_modifier_sets(config, dataset)
     state = _CycleState(dataset, glm, config, loss, link, modifier_sets)
@@ -320,9 +322,11 @@ def tune_kappa(
     the standard error of the tree's first-order validation loss delta
     (z = 0: any strict decrease). ``patience`` consecutive rejections
     close a dimension. The returned kappa counts accepted trees;
-    rejected candidates leave no footprint.
+    rejected candidates leave no footprint. Bad data is a DataError
+    naming its row of ``dataset``, as in ``fit_tvcm``.
     """
     check_canonical(loss, link)
+    require_fit_data(dataset, loss)
     kappa_max = config.kappa_vector(dataset.p)
     modifier_sets = _resolve_modifier_sets(config, dataset)
     frac = stopping.validation_fraction
@@ -389,13 +393,8 @@ def fit_tvcm(
     < 0 are each a DataError naming the first such row and its column.
     """
     check_canonical(loss, link)
-    where = "training data"
-    require_finite(dataset.X, dataset.x_names, where)
-    require_finite(dataset.y, ["response"], where)
-    require_finite(dataset.w, ["weight"], where)
-    require_all(dataset.w > 0, "non-positive weight", "weight", where)
-    if loss.kind == "poisson_deviance":
-        require_all(dataset.y >= 0, "negative response", "response", where)
+    # before standardizing, so a NaN is reported at its own row
+    require_fit_data(dataset, loss)
     ds_std, scaler = standardize(dataset)
     glm = fit_glm(ds_std, loss, link)
     cfg = config

@@ -244,6 +244,25 @@ def require_finite(M, names, where: str) -> None:
         raise DataError(f"{where}: non-finite value at row {r}, column {names[c]!r}")
 
 
+def require_fit_response(y, w, loss, where: str) -> None:
+    """DataError naming the first row of y or w holding a NaN or an
+    infinity, then of a weight <= 0 and, under the Poisson loss, of a
+    response < 0. The fit's inner loop evaluates the loss unchecked, so
+    every public fit entry point runs this first."""
+    require_finite(y, ["response"], where)
+    require_finite(w, ["weight"], where)
+    require_all(w > 0, "non-positive weight", "weight", where)
+    if loss.kind == "poisson_deviance":
+        require_all(y >= 0, "negative response", "response", where)
+
+
+def require_fit_data(ds: Dataset, loss, where: str = "training data") -> None:
+    """``require_fit_response`` after the same NaN/infinity check on X,
+    whose message names the feature column."""
+    require_finite(ds.X, ds.x_names, where)
+    require_fit_response(ds.y, ds.w, loss, where)
+
+
 def csv_header(path) -> list[str]:
     with open(path, newline="", encoding="utf-8") as fh:
         header = next(csv.reader(fh), None)

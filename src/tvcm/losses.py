@@ -14,9 +14,11 @@ All functions are pure and accept scalars or numpy arrays. The public
 ``value``/``deriv_mu`` check their inputs. The fit's inner loop
 (``directional_gradient``, ``loss_total``, the leaf-step guard, the
 tuning noise margin) calls the private ``_value``/``_deriv`` instead:
-same arithmetic, with y and w trusted because ``fit_tvcm`` checks them
-once at entry. They keep the Poisson mu > 0 test, since mu there comes
-from a stepped linear predictor that no entry check covers.
+same arithmetic, with y and w trusted because the public fit entry
+points (``fit_tvcm``, ``fit_glm``, ``train``, ``tune_kappa``, and
+``adjust_leaves`` once per tree) check them first. They keep the
+Poisson mu > 0 test, since mu there comes from a stepped linear
+predictor that no entry check covers.
 """
 
 from __future__ import annotations

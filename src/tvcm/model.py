@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import Dataset, Standardizer, require_finite
+from .data import Dataset, Standardizer, require_finite, require_fit_data
 from .errors import DataError, FitError, ModelFormatError
 from .losses import check_canonical, check_eta, get_link, get_loss, loss_total
 from .tree import RegressionTree
@@ -306,9 +306,11 @@ def fit_glm(dataset: Dataset, loss, link) -> GlmCoefficients:
 
     Expects an encoded, standardized dataset. A tiny ridge (1e-8) on the
     non-intercept block keeps the normal equations solvable when one-hot
-    blocks make the design rank deficient.
+    blocks make the design rank deficient. Bad training data is a
+    DataError, as in ``fit_tvcm``.
     """
     check_canonical(loss, link)
+    require_fit_data(dataset, loss)
     return _irls(dataset.y, dataset.w, dataset.X, loss, link)
 
 

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import require_fit_response
 from .errors import DomainError
 from .losses import directional_gradient, intercept_shift
 
@@ -301,12 +302,8 @@ def presort_columns(Z, groups=()) -> SplitIndex:
 def _split_gain(s_left, n_left, s_right, n_right, total, m):
     """Squared-error reduction from splitting m rows whose centered
     gradients sum to ``total`` into n_left rows summing to s_left and
-    n_right rows summing to s_right. Overwrites ``s_right``."""
-    gain = s_left * s_left
-    gain /= n_left
-    s_right *= s_right
-    s_right /= n_right
-    gain += s_right
+    n_right rows summing to s_right."""
+    gain = s_left * s_left / n_left + s_right * s_right / n_right
     gain -= total * total / m
     return gain
 
@@ -581,7 +578,9 @@ def adjust_leaves(
     divided by x for a constant-x leaf, and bracketed Newton on the
     derivative otherwise. A final guard compares the leaf-local loss at
     the step and at 0; if the step would increase it, the leaf keeps 0
-    and a warning is logged.
+    and a warning is logged. A NaN or an infinity in y or w, a weight
+    <= 0 and, under the Poisson loss, a response < 0 are a DataError
+    naming the first such row.
     """
     x_col = np.asarray(x_col, dtype=float)
     eta = np.asarray(eta, dtype=float)
@@ -589,6 +588,8 @@ def adjust_leaves(
     w = np.asarray(w, dtype=float)
     if w.ndim == 0:
         w = np.full_like(eta, float(w))
+    # once per tree, so the per-leaf guard below runs unchecked
+    require_fit_response(y, w, loss, "leaf adjustment")
     if leaf_of is None:
         leaf_of = tree.assign(modifiers)
     gaussian = loss.kind == "gaussian_deviance" and link.kind == "identity"

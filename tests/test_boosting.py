@@ -470,9 +470,9 @@ def test_tune_reuses_train_loss_after_rejection(monkeypatch):
 
 
 def test_poisson_fit_calls_no_checked_loss_evaluation(monkeypatch):
-    # fit_tvcm checks y and w once at entry; tuning (noise margin
-    # included), training and the leaf-step guard then evaluate the loss
-    # without re-running those checks
+    # the entry points check y and w up front (adjust_leaves once per
+    # tree); tuning (noise margin included), training and the leaf-step
+    # guard then evaluate the loss without re-running those checks
     rng = np.random.default_rng(14)
     n = 1500
     X = rng.standard_normal((n, 3))
@@ -495,3 +495,50 @@ def test_poisson_fit_calls_no_checked_loss_evaluation(monkeypatch):
     assert calls == []
     losses.POISSON.value(1.0, 1.0, 1.0)
     assert calls == ["value"]  # the counter is live
+
+
+def poisson_dataset_with_negative_response():
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((200, 2))
+    y = rng.poisson(np.exp(0.3 * X[:, 0])).astype(float)
+    y[[6, 11]] = -1.0
+    return data.Dataset(y=y, w=np.ones(200), X=X, x_names=["a", "b"])
+
+
+@pytest.mark.parametrize("entry", ["fit_glm", "train", "tune_kappa"])
+def test_every_fit_entry_point_rejects_a_negative_poisson_response(entry):
+    # the fit loop evaluates the loss unchecked, so each public entry
+    # point checks its data itself, reporting the row of its own input
+    ds = poisson_dataset_with_negative_response()
+    cfg = boosting.BoostConfig(epsilon=0.1, kappa=2, tree=tree.TreeConfig(2, 10))
+    P, L = losses.POISSON, losses.LOG
+    calls = {
+        "fit_glm": lambda: model.fit_glm(ds, P, L),
+        "train": lambda: boosting.train(
+            ds, model.GlmCoefficients(0.0, np.zeros(2)), cfg, P, L,
+            data.standardize(ds)[1],
+        ),
+        "tune_kappa": lambda: boosting.tune_kappa(
+            ds, cfg, boosting.StoppingConfig(seed=1), P, L
+        ),
+    }
+    with pytest.raises(
+        DataError, match=r"training data: negative response at row 6, column 'response'"
+    ):
+        calls[entry]()
+
+
+@pytest.mark.parametrize(
+    "field, bad, message",
+    [("y", -1.0, "negative response at row 3, column 'response'"),
+     ("w", 0.0, "non-positive weight at row 3, column 'weight'")],
+)
+def test_adjust_leaves_rejects_bad_response_or_weight(field, bad, message):
+    rng = np.random.default_rng(8)
+    Z = rng.standard_normal((60, 1))
+    arrays = {"y": rng.poisson(1.0, 60).astype(float), "w": np.ones(60)}
+    arrays[field][[3, 5]] = bad
+    t = tree.fit_partition(rng.standard_normal(60), Z, tree.TreeConfig(1, 10))
+    with pytest.raises(DataError, match=f"leaf adjustment: {message}"):
+        tree.adjust_leaves(t, Z, np.ones(60), np.zeros(60), arrays["y"],
+                           arrays["w"], losses.POISSON, losses.LOG)

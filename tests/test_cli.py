@@ -553,3 +553,22 @@ def test_v1_fixture_scoring_outputs_equal_the_model_bit_for_bit(fixture, tmp_pat
     fi = [float(r["mean_abs_beta"]) for r in read_rows(out / "importance_fi_star.csv")]
     assert np.array_equal(np.asarray(fi), boosting.fi_star(mdl, ds).raw)
     assert dir_digests(out) == V1_SCORING_SHA256[fixture]
+
+
+def test_poisson_tune_rejects_a_negative_real_kind_response(tmp_path, capsys):
+    # load_csv rejects y < 0 only for a count response; tuning itself
+    # must reject it under the Poisson loss
+    data_csv = tmp_path / "neg.csv"
+    rng = np.random.default_rng(5)
+    with open(data_csv, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["y", "w", "a"])
+        for i in range(200):
+            writer.writerow([-0.5 if i == 4 else rng.poisson(1.0), 1.0, rng.uniform()])
+    cfg = tmp_path / "neg.cfg"
+    cfg.write_text("loss = poisson_deviance\nlink = log\nresponse = y\nnumeric = a\n")
+    code = run(["tune", "--data", data_csv, "--config", cfg, "--max-kappa", "2",
+                "--out", tmp_path / "out"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "negative response at row 4, column 'response'" in err
