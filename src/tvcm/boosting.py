@@ -11,6 +11,14 @@ a train half and accepts a candidate only when it lowers the loss on the
 validation half by more than a noise margin (``acceptance_z`` standard
 errors of its first-order loss delta; z = 0 is plain strict decrease).
 Fitted models and tune results are immutable outputs.
+
+Most candidates are rejected, so eta stays put for many candidates in a
+row. Whatever depends on eta alone is kept once per eta in a
+``losses.EtaRecord``, made on first use and dropped when a candidate is
+applied: on the train half mu, the gradient base and the per-row loss
+(``_CycleState``); on the validation half the per-row loss and the
+noise-margin score, with a candidate's loss recomputed only on the
+validation rows where its dimension's x is non-zero (``tune_kappa``).
 """
 
 from __future__ import annotations
@@ -23,7 +31,11 @@ import numpy as np
 
 from .data import Dataset, require_fit_data, split, standardize
 from .errors import ConfigError, FitError
-from .losses import check_canonical, intercept_shift, loss_total
+from .losses import EtaRecord, check_canonical, intercept_shift
+
+# nothing here calls it; the name stays importable here, where the
+# benchmark's traced run wraps it
+from .losses import loss_total  # noqa: F401
 from .model import (
     CoefficientFunction,
     FeatureSpace,
@@ -148,10 +160,20 @@ def _resolve_modifier_sets(config: BoostConfig, ds: Dataset) -> list[np.ndarray]
 
 
 class _CycleState:
-    """Mutable trainer state over one dataset: cached eta and training
-    loss, one split-search index (``presort_columns``: one bundle per
-    one-hot group, bin codes for other low-cardinality columns, sort
-    orders for the rest) per unique modifier subset, accumulated trees."""
+    """Mutable trainer state over one dataset: eta, one split-search
+    index (``presort_columns``: one bundle per one-hot group, bin codes
+    for other low-cardinality columns, sort orders for the rest) per
+    unique modifier subset, accumulated trees, and one ``EtaRecord`` per
+    eta.
+
+    The record is made by the first use of an eta (the first candidate,
+    or the trace row after an accept) and dropped by ``apply``. It keeps
+    mu, the gradient base that every candidate's gradient multiplies by
+    its x column, and the per-row loss, which gives the leaf-step guard
+    its loss at 0 and the trace its training loss. So the candidates
+    that dimension-wise early stopping rejects, most of them, recompute
+    none of these.
+    """
 
     def __init__(self, ds: Dataset, glm: GlmCoefficients, config: BoostConfig,
                  loss, link, modifier_sets):
@@ -164,7 +186,7 @@ class _CycleState:
         self.eta = glm_linear_predictor(glm, ds.X)
         self.trees: list[list] = [[] for _ in range(ds.p)]
         self._assign_buf = np.empty(ds.n, dtype=np.int32)
-        self._train_loss: float | None = None
+        self._at_eta: EtaRecord | None = None
         subsets: dict[tuple, tuple] = {}
         self._modifiers: list[np.ndarray] = []
         self._presorted: list[SplitIndex] = []
@@ -184,16 +206,19 @@ class _CycleState:
             self._modifiers.append(sub)
             self._presorted.append(pre)
 
+    def _record(self) -> EtaRecord:
+        if self._at_eta is None:
+            self._at_eta = EtaRecord(
+                self.loss, self.link, self.eta, self.ds.y, self.ds.w
+            )
+        return self._at_eta
+
     def fit_candidate(self, j: int):
         """Fitted candidate tree plus its training-row leaf assignment."""
         tree = fit_gradient_tree(
-            self.loss,
-            self.link,
             self.x_cols[j],
             self._modifiers[j],
-            self.eta,
-            self.ds.y,
-            self.ds.w,
+            self._record(),
             self.config.tree,
             presorted=self._presorted[j],
             assign_out=self._assign_buf,
@@ -208,15 +233,12 @@ class _CycleState:
                 f"dimension {j} ({self.ds.x_names[j]})"
             )
         self.trees[j].append(tree)
-        self._train_loss = None
+        self._at_eta = None
 
     def train_loss(self) -> float:
-        """Training loss at the current eta; computed once per eta."""
-        if self._train_loss is None:
-            self._train_loss = loss_total(
-                self.loss, self.link, self.eta, self.ds.y, self.ds.w
-            )
-        return self._train_loss
+        """Training loss at the current eta (``loss_total``'s sum of
+        the record's per-row loss); computed once per eta."""
+        return self._record().total
 
 
 def _run_cycles(state: _CycleState, kappa_max: np.ndarray, accept,
@@ -340,29 +362,32 @@ def tune_kappa(
 
     va_modifiers = [modifier_columns(ds_va.X, idx) for idx in modifier_sets]
     va_xcols = [np.ascontiguousarray(ds_va.X[:, j]) for j in range(ds_va.p)]
-    eta_va = glm_linear_predictor(glm, ds_va.X)
-    loss_va = loss_total(loss, link, eta_va, ds_va.y, ds_va.w)
+    # the validation rows a dimension's trees can move: those with x != 0
+    va_rows = []
+    for x in va_xcols:
+        rows = np.flatnonzero(x)
+        va_rows.append(slice(None) if rows.size == ds_va.n else rows)
+    at_va = EtaRecord(loss, link, glm_linear_predictor(glm, ds_va.X),
+                      ds_va.y, ds_va.w)
 
     def validate(j, tree):
-        nonlocal eta_va, loss_va
-        delta_va = state.eps[j] * tree.predict(va_modifiers[j]) * va_xcols[j]
-        eta_va_new = eta_va + delta_va
-        loss_va_new = loss_total(loss, link, eta_va_new, ds_va.y, ds_va.w)
+        nonlocal at_va
+        rows = va_rows[j]
+        step = state.eps[j] * tree.predict(va_modifiers[j][rows]) * va_xcols[j][rows]
+        stepped = at_va.stepped(rows, step)
         margin = 0.0
         if stopping.acceptance_z > 0.0:
-            # dL/deta per validation row times the delta: the noise margin
-            score = loss._deriv(
-                link.inverse(eta_va), ds_va.y, ds_va.w
-            ) * link.inverse_deriv(eta_va)
-            contrib = score * delta_va
+            # dL/deta per validation row times the step: the noise margin,
+            # summed over every row, zeros included, in the full-length order
+            contrib = np.zeros(ds_va.n)
+            contrib[rows] = at_va.score[rows] * step
             margin = stopping.acceptance_z * float(
                 np.sqrt(np.sum(contrib * contrib))
             )
-        accepted = bool(loss_va_new < loss_va - margin)
+        accepted = bool(stepped.total < at_va.total - margin)
         if accepted:
-            eta_va = eta_va_new
-            loss_va = loss_va_new
-        return accepted, loss_va_new
+            at_va = stepped
+        return accepted, stepped.total
 
     trace = _run_cycles(state, kappa_max, validate, stopping.patience)
     kappa = np.asarray([len(t) for t in state.trees], dtype=np.int64)

@@ -11,17 +11,29 @@ data. The response ``y`` lives on the same scale as the mean ``mu``, so
 count data observed over an exposure ``w`` enters as ``y = count / w``.
 
 All functions are pure and accept scalars or numpy arrays. The public
-``value``/``deriv_mu`` check their inputs. The fit's inner loop
-(``directional_gradient``, ``loss_total``, the leaf-step guard, the
-tuning noise margin) calls the private ``_value``/``_deriv`` instead:
-same arithmetic, with y and w trusted because the public fit entry
-points (``fit_tvcm``, ``fit_glm``, ``train``, ``tune_kappa``, and
-``adjust_leaves`` once per tree) check them first. They keep the
-Poisson mu > 0 test, since mu there comes from a stepped linear
-predictor that no entry check covers.
+``value``/``deriv_mu`` check their inputs. The fit's loss evaluations
+call the private ``_value``/``_deriv`` instead: same arithmetic, with y
+and w trusted because the public fit entry points (``fit_tvcm``,
+``fit_glm``, ``train``, ``tune_kappa``, and ``adjust_leaves`` once per
+tree) check them first. They keep the Poisson mu > 0 test, since mu
+there comes from a stepped linear predictor that no entry check covers.
+
+What depends on eta alone is kept in an ``EtaRecord``, one per eta, so
+the cyclic loop evaluates, on the training half, one ``_deriv`` and one
+``_value`` over every row per eta (the gradient base, and the per-row
+loss that gives the trace its total and the leaf-step guard its loss at
+a zero step), and per candidate only ``_value`` on each leaf with a
+non-zero step; on the validation half, one ``_value`` over every row at
+the start, per candidate ``_value`` on the rows whose x is non-zero
+(``EtaRecord.stepped``), and one ``_deriv`` per accepted eta for the
+noise margin. ``directional_gradient`` and ``loss_total`` compute the
+same arithmetic through a fresh record; the GLM fit calls
+``loss_total``.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -118,8 +130,9 @@ class PoissonDeviance:
         _check_mu(mu)
         mu = np.maximum(np.asarray(mu, dtype=float), MU_FLOOR)
         y = np.asarray(y, dtype=float)
+        pos = y > 0
         with np.errstate(divide="ignore", invalid="ignore"):
-            ylog = np.where(y > 0, y * np.log(np.where(y > 0, y, 1.0) / mu), 0.0)
+            ylog = np.where(pos, y * np.log(np.where(pos, y, 1.0) / mu), 0.0)
         return 2.0 * w * (mu - y + ylog)
 
     def _deriv(self, mu, y, w):
@@ -188,6 +201,74 @@ def check_eta(eta, context: str = "") -> None:
         )
 
 
+class EtaRecord:
+    """What the loss gives at one linear predictor eta, each part
+    computed on first use and then kept.
+
+    - ``mu``: the mean, ``link.inverse(eta)``;
+    - ``score``: dL/deta per row, unchecked;
+    - ``base``: the same array once a log-link eta has passed
+      ``check_eta``; the gradient along coefficient direction j is
+      ``x_j * base`` (``directional_gradient``);
+    - ``row_loss``: ``loss._value(mu, y, w)`` per row;
+    - ``total``: its sum in extended precision (``loss_total``).
+
+    y and w are not checked here; a Poisson mean that underflows to 0 is
+    a DomainError. Nothing updates a record in place: a new eta gets a
+    new record (``stepped`` builds one from this one).
+    """
+
+    def __init__(self, loss, link, eta, y, w):
+        self.loss = loss
+        self.link = link
+        self.eta = np.asarray(eta, dtype=float)
+        self.y = y
+        self.w = w
+
+    @cached_property
+    def mu(self):
+        return self.link.inverse(self.eta)
+
+    @cached_property
+    def score(self):
+        deriv = self.loss._deriv(self.mu, self.y, self.w)
+        return deriv * self.link.inverse_deriv(self.eta)
+
+    @cached_property
+    def base(self):
+        if self.link.kind == "log":
+            check_eta(self.eta, context="directional gradient")
+        return self.score
+
+    @cached_property
+    def row_loss(self):
+        return self.loss._value(self.mu, self.y, self.w)
+
+    @cached_property
+    def total(self) -> float:
+        return float(np.sum(self.row_loss, dtype=np.longdouble))
+
+    def stepped(self, rows, step) -> "EtaRecord":
+        """The record at eta with ``step`` added to ``eta[rows]``, its
+        per-row loss recomputed on those rows only.
+
+        ``rows`` is an index array or a slice over array-valued y and w.
+        The loss is elementwise and eta + 0 == eta, so wherever a row is
+        left out or its step is 0 the kept value is the one a fresh
+        evaluation gives: ``row_loss`` and ``total`` equal those of
+        ``EtaRecord(loss, link, eta + full_step, y, w)`` bit for bit.
+        """
+        eta = self.eta.copy()
+        eta[rows] += step
+        out = EtaRecord(self.loss, self.link, eta, self.y, self.w)
+        row_loss = self.row_loss.copy()
+        row_loss[rows] = self.loss._value(
+            self.link.inverse(eta[rows]), self.y[rows], self.w[rows]
+        )
+        out.row_loss = row_loss
+        return out
+
+
 def directional_gradient(loss, link, x, eta, y, w):
     """Gradient of the total loss along coefficient direction j.
 
@@ -195,12 +276,7 @@ def directional_gradient(loss, link, x, eta, y, w):
     evaluated at the current linear predictor. The x factor multiplies
     last, so scaling in x is exact. y and w are not checked here.
     """
-    eta = np.asarray(eta, dtype=float)
-    if link.kind == "log":
-        check_eta(eta, context="directional gradient")
-    mu = link.inverse(eta)
-    base = loss._deriv(mu, y, w) * link.inverse_deriv(eta)
-    return np.asarray(x, dtype=float) * base
+    return np.asarray(x, dtype=float) * EtaRecord(loss, link, eta, y, w).base
 
 
 def loss_total(loss, link, eta, y, w) -> float:
@@ -210,8 +286,7 @@ def loss_total(loss, link, eta, y, w) -> float:
     absolute level used by the monotone-training check. y and w are not
     checked here; a Poisson mean that underflows to 0 is a DomainError.
     """
-    mu = link.inverse(np.asarray(eta, dtype=float))
-    return float(np.sum(loss._value(mu, y, w), dtype=np.longdouble))
+    return EtaRecord(loss, link, eta, y, w).total
 
 
 def intercept_shift(loss, link, partial_eta, y, w) -> float:
@@ -229,4 +304,10 @@ def intercept_shift(loss, link, partial_eta, y, w) -> float:
     wy = float(np.sum(w * y))
     if wy <= 0:
         raise FitError("intercept recalibration needs a positive response total")
-    return float(np.log(wy) - np.log(np.sum(w * np.exp(partial_eta))))
+    return log_link_intercept(wy, partial_eta, w)
+
+
+def log_link_intercept(wy: float, eta, w) -> float:
+    """``intercept_shift``'s log-link closed form for ``wy = sum(w*y) > 0``,
+    with eta not checked: log(wy) - log(sum(w*exp(eta)))."""
+    return float(np.log(wy) - np.log(np.sum(w * np.exp(eta))))

@@ -36,7 +36,11 @@ import numpy as np
 
 from .data import require_fit_response
 from .errors import DomainError
-from .losses import directional_gradient, intercept_shift
+from .losses import EtaRecord, log_link_intercept
+
+# fit_gradient_tree takes its gradients from an EtaRecord; the name stays
+# importable here, where the benchmark's traced run wraps it
+from .losses import directional_gradient  # noqa: F401
 
 logger = logging.getLogger("tvcm")
 
@@ -228,6 +232,9 @@ class SplitIndex:
     its code. ``codes`` holds the binned columns' codes, then the
     bundles', column c offset by ``c * n_bins``, so one ``bincount`` over
     a node's rows histograms every binned column and bundle at once.
+    ``root_counts`` holds the per-bin row counts of all rows, one row
+    per code column: every tree on this index starts from them, and a
+    node's right child takes its parent's counts less its left sibling's.
     Every other column keeps its stable sort order. ``orders[0]`` is
     column 0's stable sort order, the row order every node keeps;
     ``sorted_slots`` maps each presorted column to its slot in
@@ -241,6 +248,7 @@ class SplitIndex:
     levels: tuple
     n_bins: int
     bundles: tuple
+    root_counts: np.ndarray
 
 
 def presort_columns(Z, groups=()) -> SplitIndex:
@@ -290,12 +298,15 @@ def presort_columns(Z, groups=()) -> SplitIndex:
     n_bins = max(
         [lv.size for lv in levels] + [b.size + 1 for b in bundles], default=0
     )
-    codes = np.empty((n, len(ranks) + len(bundle_codes)), dtype=np.intp)
+    nc = len(ranks) + len(bundle_codes)
+    codes = np.empty((n, nc), dtype=np.intp)
     for c, code in enumerate(ranks + bundle_codes):
         codes[:, c] = code + c * n_bins
+    root_counts = np.bincount(codes.ravel(), minlength=nc * n_bins)
     return SplitIndex(
         tuple(orders), sorted_slots, np.asarray(binned, dtype=np.int64),
         codes, tuple(levels), n_bins, tuple(bundles),
+        root_counts.reshape(nc, n_bins),
     )
 
 
@@ -331,31 +342,34 @@ def _best_split_for_feature(v, gc, lo, n_left, n_right):
     return float(gain[k]), lo + k
 
 
-def _best_splits_binned(index: SplitIndex, rows, gc, min_leaf):
+def _best_splits_binned(index: SplitIndex, rows, gc, min_leaf, all_counts):
     """Best cut of every binned column and the gain of every bundle
     member at one node.
 
     Per-bin sums of the centered gradients ``gc`` (aligned with
-    ``rows``) and per-bin row counts come from one bincount each. On a
-    binned column, a cut after bin k is valid when bin k is non-empty and
-    both sides keep min_leaf rows. A bundle member's split puts its own
-    bin on the right and every other bin, summed as the bins below plus
-    the bins above it, on the left; so the members of a two-member
-    bundle that covers every row get bit-equal gains. Returns (gains, bins, counts)
-    of the binned columns and one gain row per bundle, indexed by member;
-    a split without enough rows on a side has gain -inf.
+    ``rows``) come from one bincount. ``all_counts`` holds the node's
+    per-bin row counts of every code column, or is None to count them
+    with a second bincount. On a binned column, a cut after bin k is
+    valid when bin k is non-empty and both sides keep min_leaf rows. A
+    bundle member's split puts its own bin on the right and every other
+    bin, summed as the bins below plus the bins above it, on the left; so
+    the members of a two-member bundle that covers every row get
+    bit-equal gains. Returns (gains, bins) of the binned columns, one gain
+    row per bundle, indexed by member, and the node's counts; a split
+    without enough rows on a side has gain -inf.
     """
     nc, nb, m = index.codes.shape[1], index.n_bins, rows.size
-    codes = index.codes[rows].ravel()
+    codes = np.take(index.codes, rows, axis=0).ravel()
     size = nc * nb
     sums = np.bincount(codes, weights=np.repeat(gc, nc), minlength=size)
     sums = sums.reshape(nc, nb)
-    counts = np.bincount(codes, minlength=size).reshape(nc, nb)
+    if all_counts is None:
+        all_counts = np.bincount(codes, minlength=size).reshape(nc, nb)
     cs = sums.cumsum(axis=1)
-    n_left = counts.cumsum(axis=1)
+    n_left = all_counts.cumsum(axis=1)
     k = index.binned.size
     cs, bundle_cs = cs[:k], cs[k:]
-    n_left, counts, bundle_counts = n_left[:k], counts[:k], counts[k:]
+    n_left, counts, bundle_counts = n_left[:k], all_counts[:k], all_counts[k:]
     total = cs[:, -1:]
     n_right = m - n_left
     # above[:, j]: the sum of the bins after bin j
@@ -372,7 +386,7 @@ def _best_splits_binned(index: SplitIndex, rows, gc, min_leaf):
     gain[~valid] = -np.inf
     member_gain[(member_n < min_leaf) | (m - member_n < min_leaf)] = -np.inf
     bins = gain.argmax(axis=1)  # first max: lowest threshold wins ties
-    return gain[np.arange(k), bins], bins, counts, member_gain
+    return gain[np.arange(k), bins], bins, member_gain, all_counts
 
 
 def fit_partition(
@@ -402,7 +416,10 @@ def fit_partition(
     order alone, and a leaf never gathers its gradients. At a node that
     searches, the centered gradients, the cut range and the left and
     right row counts of each cut position are computed once and shared
-    by every column's scan.
+    by every column's scan. A node's per-bin row counts need no pass of
+    their own at the root (``SplitIndex.root_counts``) or at a right
+    child whose left sibling counted its rows; gradient sums always take
+    one ``bincount`` per node.
     """
     g = np.ascontiguousarray(gradients, dtype=float)
     Z = np.asfortranarray(modifiers, dtype=float)
@@ -420,11 +437,13 @@ def fit_partition(
     tree = RegressionTree(q)
     min_leaf = config.min_samples_leaf
 
-    def best_split(orders, gc, mean):
-        """(gain, feature, threshold) of the largest gain, or None.
+    def best_split(orders, gc, mean, counts):
+        """(gain, feature, threshold) of the largest gain, or None, and
+        the node's per-bin row counts.
 
         ``gc`` is the node's gradients less their mean, in the row order
-        of ``orders[0]``.
+        of ``orders[0]``. ``counts`` is the node's per-bin row counts
+        when known, else None; without code columns it is passed back.
         """
         m = gc.size
         lo = min_leaf - 1  # cut positions lo..m-min_leaf-1
@@ -440,8 +459,8 @@ def fit_partition(
             if found is not None:
                 gains[f], cuts[f] = found
         if index.codes.shape[1]:
-            b_gains, bins, counts, member_gains = _best_splits_binned(
-                index, orders[0], gc, min_leaf
+            b_gains, bins, member_gains, counts = _best_splits_binned(
+                index, orders[0], gc, min_leaf, counts
             )
             gains[index.binned] = b_gains
             for members, member_gain in zip(index.bundles, member_gains):
@@ -449,7 +468,7 @@ def fit_partition(
         f = int(gains.argmax())  # first max: lowest feature
         gain = float(gains[f])
         if gain == -math.inf:
-            return None
+            return None, counts
         if f in bundled:
             # the bundle gain only ranks the split; the stored gain is the
             # member column's own two-bin histogram, as a binned column
@@ -458,7 +477,7 @@ def fit_partition(
             s = np.bincount(right, weights=gc, minlength=2)
             total, n_right = s[0] + s[1], int(np.count_nonzero(right))
             gain = _split_gain(s[0], m - n_right, total - s[0], n_right, total, m)
-            return float(gain), f, 0.5
+            return (float(gain), f, 0.5), counts
         if f in index.sorted_slots:
             o = orders[index.sorted_slots[f]]
             below, above = cols[f][o[cuts[f]]], cols[f][o[cuts[f] + 1]]
@@ -470,9 +489,12 @@ def fit_partition(
         thr = 0.5 * (below + above)
         if thr >= above:  # midpoint rounded up between adjacent floats
             thr = below
-        return gain, f, float(thr)
+        return (gain, f, float(thr)), counts
 
-    def build(orders: list, depth: int) -> int:
+    def build(orders: list, depth: int, counts):
+        """Grow the subtree over the rows ``orders[0]`` whose per-bin row
+        counts are ``counts`` (None: not known); returns its node id and
+        those counts if they were known or counted here."""
         rows = orders[0]
         m = rows.size
         node = tree._add_node(m)
@@ -483,13 +505,13 @@ def fit_partition(
             gc = gr - mean
             sse = float((gc**2).sum())
             if sse > 0.0:
-                best = best_split(orders, gc, mean)
+                best, counts = best_split(orders, gc, mean, counts)
                 if best is not None and best[0] <= _GAIN_REL_EPS * sse:
                     best = None
         if best is None:
             if assign_out is not None:
                 assign_out[rows] = node
-            return node
+            return node, counts
         gain, f, thr = best
         left_mask = cols[f] <= thr
         if depth + 1 == config.max_depth:  # leaf children read only rows
@@ -498,16 +520,26 @@ def fit_partition(
         tree.feature[node] = f
         tree.threshold[node] = thr
         tree.gain[node] = gain
-        tree.left[node] = build([o[s] for o, s in zip(orders, sel)], depth + 1)
-        tree.right[node] = build([o[~s] for o, s in zip(orders, sel)], depth + 1)
-        return node
+        tree.left[node], left_counts = build(
+            [o[s] for o, s in zip(orders, sel)], depth + 1, None
+        )
+        # exact in integers: the right child's counts are the rest
+        right_counts = None if left_counts is None else counts - left_counts
+        tree.right[node], _ = build(
+            [o[~s] for o, s in zip(orders, sel)], depth + 1, right_counts
+        )
+        return node, counts
 
-    build(list(index.orders), 0)
+    build(list(index.orders), 0, index.root_counts)
+    # a recursive closure is a reference cycle: break it, so that the
+    # gradients and row orders it holds are freed now, not at the next
+    # garbage collection
+    del build
     tree._freeze()
     return tree
 
 
-def _newton_gamma(x, eta, y, w, loss, link) -> float:
+def _newton_gamma(x, eta, y, w) -> float:
     """Exact Poisson/log leaf step, found without evaluating the loss.
 
     The derivative of the leaf loss in gamma, d1 = 2*sum(w*x*(exp(eta +
@@ -515,27 +547,29 @@ def _newton_gamma(x, eta, y, w, loss, link) -> float:
 
     - sum(w*y) == 0 and x of one sign: d1 never changes sign, so no
       finite minimiser exists; return 0.
-    - constant x == c: the closed form ``intercept_shift(...) / c``.
+    - constant x == c: the closed form ``intercept_shift(...) / c``,
+      without re-checking eta (its caller's eta was checked once).
     - otherwise: Newton on d1 inside the sign bracket [lo, hi] that each
       evaluation narrows, bisecting when a step leaves it. A step with
       no bracket on its far side moves eta by at most a reach that
       doubles each time it binds. Without convergence, return the
       evaluated gamma with the smallest |d1|.
     """
-    if float(np.sum(w * y)) == 0.0 and float(np.min(x)) * float(np.max(x)) > 0.0:
+    wy = float((w * y).sum())
+    if wy == 0.0 and float(x.min()) * float(x.max()) > 0.0:
         return 0.0
-    if np.all(x == x[0]):
-        return intercept_shift(loss, link, eta, y, w) / float(x[0])
+    if (x == x[0]).all():  # one sign, so wy > 0 here
+        return log_link_intercept(wy, eta, w) / float(x[0])
     wx = w * x
     wxy = wx * y
-    reach = 1.0 / float(np.max(np.abs(x)))
+    reach = 1.0 / float(np.abs(x).max())
     lo, hi = -math.inf, math.inf
     gamma, best, best_d1 = 0.0, 0.0, math.inf
     for _ in range(_LEAF_MAX_ITER):
         with np.errstate(over="ignore"):
             m = wx * np.exp(eta + gamma * x)
-            d1 = float(np.sum(m - wxy))  # d1 / 2
-            d2 = float(np.sum(m * x))  # d1' / 2, > 0
+            d1 = float((m - wxy).sum())  # d1 / 2
+            d2 = float((m * x).sum())  # d1' / 2, > 0
         if d1 == 0.0:
             return gamma
         if abs(d1) < best_d1:
@@ -567,6 +601,8 @@ def adjust_leaves(
     loss,
     link,
     leaf_of: np.ndarray | None = None,
+    *,
+    row_loss: np.ndarray | None = None,
 ) -> RegressionTree:
     """Set each leaf value to the loss-minimizing unshrunk step.
 
@@ -581,6 +617,11 @@ def adjust_leaves(
     and a warning is logged. A NaN or an infinity in y or w, a weight
     <= 0 and, under the Poisson loss, a response < 0 are a DataError
     naming the first such row.
+
+    ``leaf_of`` (each row's leaf id) and ``row_loss`` (the per-row loss
+    ``loss._value`` at eta, whose leaf sums are the guard's loss at 0)
+    are passes a caller may already have made; each is computed here
+    when None, with the same leaf values either way.
     """
     x_col = np.asarray(x_col, dtype=float)
     eta = np.asarray(eta, dtype=float)
@@ -592,6 +633,9 @@ def adjust_leaves(
     require_fit_response(y, w, loss, "leaf adjustment")
     if leaf_of is None:
         leaf_of = tree.assign(modifiers)
+    if row_loss is None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            row_loss = loss._value(link.inverse(eta), y, w)
     gaussian = loss.kind == "gaussian_deviance" and link.kind == "identity"
     for lid in tree.leaf_ids():
         rows = np.flatnonzero(leaf_of == lid)
@@ -601,15 +645,14 @@ def adjust_leaves(
             continue
         xs, es, ys, ws = x_col[rows], eta[rows], y[rows], w[rows]
         if gaussian:
-            denom = float(np.sum(ws * xs * xs))
-            gamma = float(np.sum(ws * xs * (ys - es))) / denom if denom > 0 else 0.0
+            denom = float((ws * xs * xs).sum())
+            gamma = float((ws * xs * (ys - es)).sum()) / denom if denom > 0 else 0.0
         else:
-            gamma = _newton_gamma(xs, es, ys, ws, loss, link)
+            gamma = _newton_gamma(xs, es, ys, ws)
         if gamma != 0.0:
             with np.errstate(over="ignore", invalid="ignore"):
                 f_new = float(loss._value(link.inverse(es + gamma * xs), ys, ws).sum())
-                f_zero = float(loss._value(link.inverse(es), ys, ws).sum())
-            if not np.isfinite(f_new) or f_new > f_zero:
+            if not np.isfinite(f_new) or f_new > float(row_loss[rows].sum()):
                 logger.warning("leaf step would increase loss; using 0")
                 gamma = 0.0
         tree.value[lid] = gamma
@@ -617,22 +660,21 @@ def adjust_leaves(
 
 
 def fit_gradient_tree(
-    loss,
-    link,
     x_col,
     modifiers,
-    eta,
-    y,
-    w,
+    at_eta: EtaRecord,
     config: TreeConfig,
     presorted: SplitIndex | None = None,
     assign_out: np.ndarray | None = None,
 ) -> RegressionTree:
-    """Fit one boosting tree: gradients, partition, leaf adjustment."""
-    g = directional_gradient(loss, link, x_col, eta, y, w)
+    """Fit one boosting tree along direction ``x_col`` at the linear
+    predictor of ``at_eta``: gradients ``x_col * at_eta.base``,
+    partition, leaf adjustment with the record's per-row loss."""
+    g = np.asarray(x_col, dtype=float) * at_eta.base
     tree = fit_partition(
         g, modifiers, config, presorted=presorted, assign_out=assign_out
     )
     return adjust_leaves(
-        tree, modifiers, x_col, eta, y, w, loss, link, leaf_of=assign_out
+        tree, modifiers, x_col, at_eta.eta, at_eta.y, at_eta.w, at_eta.loss,
+        at_eta.link, leaf_of=assign_out, row_loss=at_eta.row_loss,
     )

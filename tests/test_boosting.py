@@ -1,5 +1,7 @@
 import dataclasses
+import importlib.util
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -467,6 +469,73 @@ def test_tune_reuses_train_loss_after_rejection(monkeypatch):
     for prev, row in zip(result.trace, result.trace[1:]):
         if not row.accepted:
             assert row.train_loss == prev.train_loss
+
+
+CLAIMS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "claims.py"
+
+
+def claims_dataset(path, n, seed):
+    """A freMTPL2-shaped claims input (bench/claims.py), one-hot encoded."""
+    spec = importlib.util.spec_from_file_location("bench_claims", CLAIMS)
+    claims = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(claims)
+    claims.write_claims_csv(path, n, seed)
+    return data.onehot_encode(data.load_csv(path, data.Schema(**claims.SCHEMA_KW)))
+
+
+@pytest.mark.parametrize("case", ["poisson-claims", "gaussian-sim"])
+def test_trace_losses_equal_fresh_loss_totals(case, tmp_path, monkeypatch):
+    # the trace's losses come from per-eta records and sparse validation
+    # updates; each must equal a fresh loss_total at that step's eta
+    if case == "poisson-claims":
+        ds = claims_dataset(tmp_path / "claims.csv", 4000, 11)
+        loss, link, epsilon, min_leaf = losses.POISSON, losses.LOG, 0.1, 20
+    else:
+        ds, _ = sim_encoded(n=3000, seed=9)
+        loss, link, epsilon, min_leaf = losses.GAUSSIAN, losses.IDENTITY, 0.05, 10
+    std, _ = data.standardize(ds)
+    stopping = boosting.StoppingConfig(patience=2, seed=3, acceptance_z=1.0)
+    # the validation half and its starting eta, as tune_kappa makes them
+    ds_tr, ds_va = data.split(std, (0.5, 0.5), stopping.seed)
+    eta_va = model.glm_linear_predictor(model.fit_glm(ds_tr, loss, link), ds_va.X)
+    train_losses, valid_losses = [], []
+
+    real_train_loss = boosting._CycleState.train_loss
+
+    def checked_train_loss(state):
+        value = real_train_loss(state)
+        fresh = losses.loss_total(state.loss, state.link, state.eta,
+                                  state.ds.y, state.ds.w)
+        assert np.float64(value).tobytes() == np.float64(fresh).tobytes()
+        train_losses.append(value)
+        return value
+
+    real_run = boosting._run_cycles
+
+    def checked_run(state, kappa_max, accept, patience=1):
+        def checked_accept(j, candidate):
+            nonlocal eta_va
+            accepted, valid = accept(j, candidate)
+            eta_new = eta_va + state.eps[j] * candidate.predict(ds_va.X) * ds_va.X[:, j]
+            fresh = losses.loss_total(loss, link, eta_new, ds_va.y, ds_va.w)
+            assert np.float64(valid).tobytes() == np.float64(fresh).tobytes()
+            if accepted:
+                eta_va = eta_new
+            valid_losses.append(valid)
+            return accepted, valid
+
+        return real_run(state, kappa_max, checked_accept, patience)
+
+    monkeypatch.setattr(boosting._CycleState, "train_loss", checked_train_loss)
+    monkeypatch.setattr(boosting, "_run_cycles", checked_run)
+    cfg = boosting.BoostConfig(
+        epsilon=epsilon, kappa=4, tree=tree.TreeConfig(2, min_leaf)
+    )
+    result = boosting.tune_kappa(std, cfg, stopping, loss, link)
+    accepted = [row.accepted for row in result.trace]
+    assert any(accepted) and not all(accepted)
+    assert train_losses == [row.train_loss for row in result.trace]
+    assert valid_losses == [row.valid_loss for row in result.trace]
 
 
 def test_poisson_fit_calls_no_checked_loss_evaluation(monkeypatch):

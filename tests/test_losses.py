@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tvcm import losses
 from tvcm.errors import ConfigError, DomainError, EtaOverflowError
@@ -177,3 +179,47 @@ def test_loss_total_matches_plain_sum():
     total = losses.loss_total(losses.POISSON, losses.LOG, eta, y, w)
     direct = float(np.sum(losses.POISSON.value(np.exp(eta), y, w)))
     assert total == pytest.approx(direct, rel=1e-12)
+
+
+@st.composite
+def stepped_etas(draw):
+    """eta, y >= 0 (with zeros), w > 0, the rows a step moves and the
+    step on them, itself with zeros."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(1, 80))
+    moved_share = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    rng = np.random.default_rng(seed)
+    eta = rng.normal(-1.0, 2.0, size=n)
+    y = np.where(rng.random(n) < 0.6, 0.0, rng.gamma(1.0, 2.0, size=n))
+    w = rng.uniform(0.01, 3.0, size=n)
+    moved = rng.random(n) < moved_share
+    step = np.where(rng.random(n) < 0.3, 0.0, rng.normal(0.0, 0.5, size=n))
+    rows = slice(None) if moved.all() else np.flatnonzero(moved)
+    return eta, y, w, rows, np.where(moved, step, 0.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(stepped_etas(), st.sampled_from(["gaussian", "poisson"]))
+def test_stepped_record_equals_a_fresh_evaluation(case, kind):
+    # the validation update recomputes only the moved rows; its per-row
+    # loss and total equal a full evaluation at the stepped eta
+    loss, link = (
+        (losses.GAUSSIAN, losses.IDENTITY) if kind == "gaussian"
+        else (losses.POISSON, losses.LOG)
+    )
+    eta, y, w, rows, step = case
+    record = losses.EtaRecord(loss, link, eta, y, w)
+    stepped = record.stepped(rows, step[rows])
+    fresh = losses.loss_total(loss, link, eta + step, y, w)
+    assert np.float64(stepped.total).tobytes() == np.float64(fresh).tobytes()
+    full = loss._value(link.inverse(eta + step), y, w)
+    assert stepped.row_loss.tobytes() == full.tobytes()
+    assert record.eta.tobytes() == eta.tobytes()  # the record is unchanged
+
+
+def test_eta_record_checks_a_log_link_eta_before_the_gradient_base():
+    # as directional_gradient does, with the same context in the message
+    eta = np.array([-1.0, 0.5, 800.0])
+    record = losses.EtaRecord(losses.POISSON, losses.LOG, eta, np.ones(3), np.ones(3))
+    with pytest.raises(EtaOverflowError, match="row 2 .*directional gradient"):
+        record.base

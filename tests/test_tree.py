@@ -606,6 +606,43 @@ def test_zero_response_leaf_with_mixed_sign_x_takes_its_minimiser():
     assert poisson_leaf_loss(gamma, x, eta, y, w) < poisson_leaf_loss(0.0, x, eta, y, w)
 
 
+@pytest.mark.parametrize("kind", ["gaussian", "poisson"])
+def test_adjust_leaves_given_the_row_loss_sets_the_same_values(kind):
+    # the per-row loss at eta is a pass the caller may already have made;
+    # the leaf values are the same bits with it or without it
+    loss, link = (
+        (losses.GAUSSIAN, losses.IDENTITY) if kind == "gaussian"
+        else (losses.POISSON, losses.LOG)
+    )
+    rng = np.random.default_rng(8)
+    n = 500
+    Z = np.column_stack([rng.standard_normal(n), rng.integers(0, 5, n)])
+    x = np.where(rng.random(n) < 0.3, 0.0, rng.standard_normal(n))
+    eta = rng.normal(-1.0, 0.5, size=n)
+    w = rng.uniform(0.2, 2.0, size=n)
+    y = (rng.poisson(w * np.exp(eta)) / w if kind == "poisson"
+         else rng.standard_normal(n))
+    g = losses.directional_gradient(loss, link, x, eta, y, w)
+    trees = [fit_partition(g, Z, TreeConfig(3, 10)) for _ in range(2)]
+    adjust_leaves(trees[0], Z, x, eta, y, w, loss, link)
+    adjust_leaves(trees[1], Z, x, eta, y, w, loss, link,
+                  row_loss=loss._value(link.inverse(eta), y, w))
+    assert np.count_nonzero(trees[0].value) >= 4
+    assert trees[0].value.tobytes() == trees[1].value.tobytes()
+
+
+def test_root_counts_are_the_histogram_of_every_row():
+    rng = np.random.default_rng(2)
+    Z = np.column_stack([rng.integers(0, 4, 300), rng.integers(0, 9, 300),
+                         rng.standard_normal(300)]).astype(float)
+    index = presort_columns(Z)
+    assert index.binned.tolist() == [0, 1]
+    for c, f in enumerate(index.binned.tolist()):
+        levels, counts = np.unique(Z[:, f], return_counts=True)
+        assert index.root_counts[c, : levels.size].tolist() == counts.tolist()
+        assert not index.root_counts[c, levels.size :].any()
+
+
 @st.composite
 def mixed_sign_leaves(draw):
     """Leaf rows with x of both signs, random weights and sum(w*y) > 0."""
@@ -626,12 +663,12 @@ def mixed_sign_leaves(draw):
 @given(mixed_sign_leaves())
 def test_newton_leaf_step_is_stationary_and_descends(leaf):
     x, eta, y, w = leaf
-    gamma = _newton_gamma(x, eta, y, w, losses.POISSON, losses.LOG)
+    gamma = _newton_gamma(x, eta, y, w)
     d1 = float(np.sum(w * x * (np.exp(eta + gamma * x) - y)))
     assert abs(d1) <= 1e-9 * float(np.sum(np.abs(w * x * y)))
     f0 = poisson_leaf_loss(0.0, x, eta, y, w)
     assert poisson_leaf_loss(gamma, x, eta, y, w) <= f0 + 1e-12 * f0
-    again = _newton_gamma(x, eta, y, w, losses.POISSON, losses.LOG)
+    again = _newton_gamma(x, eta, y, w)
     assert np.float64(again).tobytes() == np.float64(gamma).tobytes()
 
 
