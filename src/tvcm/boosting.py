@@ -24,7 +24,6 @@ validation rows where its dimension's x is non-zero (``tune_kappa``).
 from __future__ import annotations
 
 import csv
-import logging
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -46,8 +45,6 @@ from .model import (
     modifier_columns,
 )
 from .tree import SplitIndex, TreeConfig, fit_gradient_tree, presort_columns
-
-logger = logging.getLogger("tvcm")
 
 
 @dataclass(frozen=True)

@@ -188,12 +188,6 @@ def boost_config(st: Settings, kappa=0) -> boosting.BoostConfig:
     )
 
 
-def load_encoded(st: Settings, path: str) -> tuple[data.Dataset, data.Schema]:
-    schema = build_schema(st, path)
-    ds = data.load_csv(path, schema)
-    return data.onehot_encode(ds), schema
-
-
 def _fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
@@ -264,7 +258,7 @@ def cmd_tune(st: Settings) -> None:
     if not path:
         raise ConfigError("tune requires --data")
     out = _out_dir(st)
-    ds_enc, _ = load_encoded(st, path)
+    ds_enc = data.load_csv(path, build_schema(st, path))
     loss, link = loss_link(st)
     config = boost_config(st, kappa=st.get_int("max_kappa", 1500))
     stopping = boosting.StoppingConfig(
@@ -322,7 +316,7 @@ def cmd_train(st: Settings) -> None:
         raise ConfigError("train requires --data")
     out = _out_dir(st)
     loss, link = loss_link(st)
-    ds_enc, _ = load_encoded(st, path)
+    ds_enc = data.load_csv(path, build_schema(st, path))
     kappa = _read_kappa(st, ds_enc.x_names)
     config = boost_config(st, kappa=kappa)
     result = boosting.fit_tvcm(ds_enc, loss, link, config, stopping=None)
@@ -354,18 +348,24 @@ def cmd_train(st: Settings) -> None:
 
 
 def _frame_for_model(st: Settings, mdl, path: str):
-    """Raw encoded X for a scoring input, cleaned by the same directives
-    as training data, plus its weights (ones without a weight column)."""
+    """Raw encoded X for a scoring input, plus its weights (ones without
+    a weight column) and row count. Numeric columns are cleaned by the
+    same directives as training data; categorical columns are one-hot
+    encoded by ``data.onehot_fill``, as in training, at the positions of
+    the model's member columns."""
     schema = build_schema(st, path)
-    numeric, bases = mdl.space.raw_input_columns()
-    wanted = [*numeric, *bases]
+    space = mdl.space
+    numeric, groups = data.feature_columns(space.feature_names, space.onehot_groups)
+    wanted = [*numeric, *groups]
     weight = schema.weight if schema.weight in data.csv_header(path) else None
     if weight:
         wanted.append(weight)
     cells, n = data.read_columns(path, wanted)
-    frame = {col: schema.numeric_values(col, cells[col], path) for col in numeric}
-    frame.update((base, cells[base]) for base in bases)
-    X = mdl.space.encode_frame(frame)
+    X = np.zeros((n, space.p))
+    for col, j in numeric.items():
+        X[:, j] = schema.numeric_values(col, cells[col], path)
+    for base, level_column in groups.items():
+        data.onehot_fill(X, base, cells[base], level_column, path)
     w = schema.weight_values(cells[weight], path) if weight else np.ones(n)
     return X, w, n
 
@@ -410,7 +410,7 @@ def _load_predictions(path: str, n_expected: int) -> np.ndarray:
 
 
 def _baseline_models(st: Settings, train_path: str, loss, link):
-    ds_enc, _ = load_encoded(st, train_path)
+    ds_enc = data.load_csv(train_path, build_schema(st, train_path))
     zero = boost_config(st, kappa=0)
     glm_model = boosting.fit_tvcm(ds_enc, loss, link, zero).model
     ds_null = data.Dataset(

@@ -1,5 +1,9 @@
 """Dataset container, simulation generator, CSV ingestion, encoding, splits.
 
+One routine, ``onehot_fill``, writes categorical levels into 0/1 feature
+columns, with the levels taken from the data in training (``onehot_encode``)
+and from a model's one-hot groups in scoring (``feature_columns``).
+
 Random draws use numpy's PCG64 generator; normal variates come from its
 ziggurat-based ``standard_normal``, so identical seeds reproduce
 datasets bit for bit.
@@ -23,10 +27,10 @@ class Dataset:
 
     Every coefficient beta_j is a function of the same feature rows it
     multiplies; per-dimension modifier sets pick the columns of X each
-    coefficient may split on. Categorical columns arrive as integer codes
-    in ``cat_codes`` and stay there until ``onehot_encode`` expands them
-    into 0/1 columns of X. Instances are treated as immutable once built;
-    all transforms return new datasets.
+    coefficient may split on. Categorical columns are one-hot encoded:
+    ``onehot_groups`` maps each to its 0/1 member columns of X. Instances
+    are treated as immutable once built; all transforms return new
+    datasets.
     """
 
     y: np.ndarray
@@ -34,8 +38,6 @@ class Dataset:
     X: np.ndarray
     x_names: list[str]
     onehot_groups: dict[str, list[str]] = field(default_factory=dict)
-    cat_codes: dict[str, np.ndarray] = field(default_factory=dict)
-    cat_levels: dict[str, list[str]] = field(default_factory=dict)
 
     @property
     def Z(self) -> np.ndarray:
@@ -59,8 +61,6 @@ class Dataset:
             X=self.X[idx],
             x_names=list(self.x_names),
             onehot_groups={k: list(v) for k, v in self.onehot_groups.items()},
-            cat_codes={k: v[idx] for k, v in self.cat_codes.items()},
-            cat_levels={k: list(v) for k, v in self.cat_levels.items()},
         )
 
 
@@ -139,7 +139,8 @@ class Schema:
     a string column listed under ``numeric`` to 1-based codes over an
     explicitly declared level order. No recode or transform ever happens
     implicitly. Training and scoring clean columns with the same two
-    methods, so a scored row sees exactly the features training saw.
+    methods and encode them with the same ``onehot_fill``, so a scored
+    row sees exactly the features training saw.
     """
 
     response: str
@@ -298,8 +299,8 @@ def read_columns(path, names) -> tuple[dict[str, list[str]], int]:
 def load_csv(path, schema: Schema) -> Dataset:
     """Parse a comma-separated, headered, UTF-8 file into a Dataset.
 
-    Categorical columns become integer codes over lexicographically
-    sorted level names, pending one-hot expansion. Reported row numbers
+    Numeric columns come first, in schema order; ``onehot_encode`` then
+    appends the categorical columns' 0/1 columns. Reported row numbers
     are 0-based data rows (the header is not counted).
     """
     names = [schema.response, *schema.numeric, *schema.categorical]
@@ -320,58 +321,64 @@ def load_csv(path, schema: Schema) -> Dataset:
 
     cols = [schema.numeric_values(col, cells[col], path) for col in schema.numeric]
     X = np.column_stack(cols) if cols else np.empty((n, 0))
-
-    cat_codes: dict[str, np.ndarray] = {}
-    cat_levels: dict[str, list[str]] = {}
-    for col in schema.categorical:
-        values = cells[col]
-        levels = sorted(set(values))
-        lookup = {lv: i for i, lv in enumerate(levels)}
-        cat_codes[col] = np.asarray([lookup[v] for v in values], dtype=np.int64)
-        cat_levels[col] = levels
-
-    return Dataset(
-        y=y,
-        w=w,
-        X=X,
-        x_names=list(schema.numeric),
-        cat_codes=cat_codes,
-        cat_levels=cat_levels,
-    )
+    ds = Dataset(y=y, w=w, X=X, x_names=list(schema.numeric))
+    return onehot_encode(ds, {col: cells[col] for col in schema.categorical})
 
 
-def onehot_member_name(column: str, level: str) -> str:
-    return f"{column}={level}"
+def onehot_fill(X: np.ndarray, col: str, cells, level_column: dict, where) -> None:
+    """Set ``X[r, level_column[cells[r]]] = 1`` for every row r of
+    categorical column ``col``; a level missing from ``level_column`` is
+    a DataError naming the row, the column and the level."""
+    try:
+        pos = list(map(level_column.__getitem__, cells))
+    except KeyError:
+        r = next(r for r, text in enumerate(cells) if text not in level_column)
+        raise DataError(
+            f"{where}: unseen level {cells[r]!r} at row {r}, column {col!r}"
+        ) from None
+    X[np.arange(len(pos)), pos] = 1.0
 
 
-def onehot_encode(ds: Dataset) -> Dataset:
-    """Expand pending categorical codes into 0/1 columns of X.
+def onehot_encode(ds: Dataset, categorical=None) -> Dataset:
+    """Append 0/1 columns to X for ``categorical``, which maps column
+    names to one level string per row.
 
-    Every level keeps its own column (no reference level is dropped);
-    the group map records member column names per original column.
+    Each column's sorted levels become its member columns ``column=level``
+    (no reference level is dropped), appended in column-name order and
+    recorded in the group map. Without categorical columns ``ds`` is
+    returned unchanged.
     """
-    if not ds.cat_codes:
+    if not categorical:
         return ds
-    blocks = [ds.X]
     names = list(ds.x_names)
     groups = {k: list(v) for k, v in ds.onehot_groups.items()}
-    for col in sorted(ds.cat_codes):
-        codes = ds.cat_codes[col]
-        levels = ds.cat_levels[col]
-        block = np.zeros((ds.n, len(levels)))
-        block[np.arange(ds.n), codes] = 1.0
-        blocks.append(block)
-        members = [onehot_member_name(col, lv) for lv in levels]
-        names.extend(members)
-        groups[col] = members
-    X = np.column_stack(blocks)
-    return Dataset(
-        y=ds.y,
-        w=ds.w,
-        X=X,
-        x_names=names,
-        onehot_groups=groups,
-    )
+    level_columns = {}
+    for col in sorted(categorical):
+        levels = sorted(set(categorical[col]))
+        level_columns[col] = {lv: len(names) + k for k, lv in enumerate(levels)}
+        groups[col] = [f"{col}={lv}" for lv in levels]
+        names.extend(groups[col])
+    X = np.zeros((ds.n, len(names)))
+    X[:, :ds.p] = ds.X
+    for col, level_column in level_columns.items():
+        onehot_fill(X, col, categorical[col], level_column, "onehot_encode")
+    return Dataset(y=ds.y, w=ds.w, X=X, x_names=names, onehot_groups=groups)
+
+
+def feature_columns(names, onehot_groups) -> tuple[dict, dict]:
+    """Positions in feature columns ``names`` of each numeric column and,
+    per one-hot group, of each member keyed by its level: the rest of
+    its name ``column=level`` (a level may contain "=")."""
+    base_of = {m: base for base, members in onehot_groups.items() for m in members}
+    numeric: dict[str, int] = {}
+    groups: dict[str, dict[str, int]] = {}
+    for j, name in enumerate(names):
+        base = base_of.get(name)
+        if base is None:
+            numeric[name] = j
+        else:
+            groups.setdefault(base, {})[name[len(base) + 1:]] = j
+    return numeric, groups
 
 
 def split_indices(n: int, frac: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -420,8 +427,6 @@ class Standardizer:
 
 def standardize(ds: Dataset) -> tuple[Dataset, Standardizer]:
     """Center/scale the continuous columns of X to mean 0, sd 1."""
-    if ds.cat_codes:
-        raise DataError("standardize expects one-hot encoding to have run")
     members = {m for group in ds.onehot_groups.values() for m in group}
     mean = ds.X.mean(axis=0)
     sd = ds.X.std(axis=0)

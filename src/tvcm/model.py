@@ -90,51 +90,6 @@ class FeatureSpace:
         return {j for j, n in enumerate(self.feature_names)
                 if self.group_label(n) != n}
 
-    def raw_input_columns(self) -> tuple[list[str], list[str]]:
-        """(numeric column names, categorical base names) a raw input
-        frame must provide to cover the encoded feature columns."""
-        labels = [self.group_label(n) for n in self.feature_names]
-        numeric = [n for n, g in zip(self.feature_names, labels) if g == n]
-        bases = list(dict.fromkeys(
-            g for n, g in zip(self.feature_names, labels) if g != n
-        ))
-        return numeric, bases
-
-    def encode_frame(self, columns: dict) -> np.ndarray:
-        """Raw (unstandardized) encoded feature matrix from named columns.
-
-        Numeric columns arrive as float arrays; categorical bases as raw
-        level strings, matched against the training-time member columns.
-        An unseen level is an error naming the row and the level.
-        """
-        numeric, bases = self.raw_input_columns()
-        n = None
-        for name in [*numeric, *bases]:
-            if name not in columns:
-                raise DataError(f"input frame is missing column {name!r}")
-            size = len(columns[name])
-            if n is None:
-                n = size
-            elif size != n:
-                raise DataError(f"column {name!r} has {size} rows, expected {n}")
-        col_pos = {name: k for k, name in enumerate(self.feature_names)}
-        X = np.zeros((n, self.p))
-        for name in numeric:
-            X[:, col_pos[name]] = np.asarray(columns[name], dtype=float)
-        for base in bases:
-            level_col = {}
-            for member in self.onehot_groups[base]:
-                if member in col_pos:
-                    level_col[member.split("=", 1)[1]] = col_pos[member]
-            for r, value in enumerate(columns[base]):
-                value = str(value)
-                if value not in level_col:
-                    raise DataError(
-                        f"row {r}: unseen level {value!r} for column {base!r}"
-                    )
-                X[r, level_col[value]] = 1.0
-        return X
-
 
 def modifier_columns(X: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Columns ``idx`` of X, or X itself when idx selects every column

@@ -156,6 +156,9 @@ class RegressionTree:
             )
 
         out = descend(0)
+        # a recursive closure is a reference cycle: break it, so that Z
+        # is freed when this call returns, not at the next collection
+        del descend
         return np.full(Z.shape[0], out) if np.ndim(out) == 0 else out
 
     def assign(self, Z) -> np.ndarray:

@@ -424,7 +424,7 @@ def test_a11_real_data_ordering():
         ordinal={"Area": ("A", "B", "C", "D", "E", "F")},
         caps={"ClaimNb": 4.0, "Exposure": 1.0},
     )
-    ds = data.onehot_encode(data.load_csv(path, schema))
+    ds = data.load_csv(path, schema)
     train_ds, test_ds = data.split(ds, (0.9, 0.1), seed=1)
     cfg = boosting.BoostConfig(epsilon=0.01, kappa=1000, tree=tree.TreeConfig(2, 20))
     res = boosting.fit_tvcm(

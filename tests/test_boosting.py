@@ -303,16 +303,8 @@ def onehot_dataset(n=3000, seed=17, levels=("a", "b", "c")):
         + np.array([shift[c] for c in cat])
         + 0.2 * rng.standard_normal(n)
     )
-    codes = {lv: i for i, lv in enumerate(sorted(levels))}
-    ds = data.Dataset(
-        y=y,
-        w=np.ones(n),
-        X=x_num[:, None],
-        x_names=["x1"],
-        cat_codes={"g": np.asarray([codes[c] for c in cat])},
-        cat_levels={"g": sorted(levels)},
-    )
-    return data.onehot_encode(ds)
+    ds = data.Dataset(y=y, w=np.ones(n), X=x_num[:, None], x_names=["x1"])
+    return data.onehot_encode(ds, {"g": cat.tolist()})
 
 
 def test_importance_unit_row_and_zero_row():
@@ -480,7 +472,7 @@ def claims_dataset(path, n, seed):
     claims = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(claims)
     claims.write_claims_csv(path, n, seed)
-    return data.onehot_encode(data.load_csv(path, data.Schema(**claims.SCHEMA_KW)))
+    return data.load_csv(path, data.Schema(**claims.SCHEMA_KW))
 
 
 @pytest.mark.parametrize("case", ["poisson-claims", "gaussian-sim"])

@@ -176,9 +176,10 @@ def test_missing_file_is_clean_error(tmp_path, capsys):
     assert err.startswith("tvcm: error:")
 
 
-def test_unseen_level_predict_error(tmp_path, capsys):
-    # train a tiny poisson model with a categorical, then predict on a
-    # file carrying a novel level
+@pytest.mark.parametrize("command", ["predict", "importance", "evaluate"])
+def test_unseen_level_predict_error(tmp_path, capsys, command):
+    # train a tiny poisson model with a categorical, then score a file
+    # carrying a novel level through every scoring entry point
     data_csv = tmp_path / "claims.csv"
     rng = np.random.default_rng(0)
     with open(data_csv, "w", newline="") as fh:
@@ -205,11 +206,15 @@ def test_unseen_level_predict_error(tmp_path, capsys):
         writer.writerow(["n", "expo", "age", "region"])
         writer.writerow([0, 0.5, 44.0, "north"])
         writer.writerow([0, 0.5, 44.0, "east"])
-    code = run(["predict", "--model", out / "model.json", "--data", bad_csv,
-                "--config", cfg, "--out", out])
+    source = (["--fit-baselines", data_csv] if command == "evaluate"
+              else ["--model", out / "model.json"])
+    capsys.readouterr()
+    code = run([command, *source, "--data", bad_csv, "--config", cfg,
+                "--out", out])
     assert code == 2
-    err = capsys.readouterr().err
-    assert "row 1" in err and "east" in err
+    assert capsys.readouterr().err == (
+        f"tvcm: error: {bad_csv}: unseen level 'east' at row 1, column 'region'\n"
+    )
 
 
 def test_poisson_predictions_emit_expected_response(tmp_path):
@@ -393,7 +398,7 @@ def ingestion_cases(draw):
     columns, with random floor/cap/transform directives."""
     seed = draw(st.integers(0, 2**32 - 1))
     numeric = ["a", "b", "lvl"][: draw(st.integers(1, 3))]
-    n_cat = draw(st.integers(0, 2))
+    categorical = ["c0", "c1", "k=v"][: draw(st.integers(0, 3))]
     directives = {}
     for col in numeric:
         transform = draw(st.sampled_from([None, "log", "log1p"]))
@@ -405,7 +410,7 @@ def ingestion_cases(draw):
             directives[f"cap:{col}"] = draw(st.sampled_from([2.5, 3.0, 12.0]))
     if draw(st.booleans()):
         directives["cap:w"] = draw(st.sampled_from([0.9, 1.2]))
-    return seed, numeric, [f"c{k}" for k in range(n_cat)], directives
+    return seed, numeric, categorical, directives
 
 
 @settings(max_examples=12, deadline=None, derandomize=True,
@@ -425,6 +430,7 @@ def test_scoring_sees_the_features_training_saw(case):
         "w": rng.uniform(0.5, 1.5, n),
     }
     columns["y"] = np.log1p(columns["a"]) + rng.standard_normal(n)
+    columns["k=v"] = rng.choice(["x", "y"], n)
     header = ["y", "w", *numeric, *categorical]
     settings_text = {
         "response": "y", "weight": "w", "numeric": ",".join(numeric),
@@ -464,7 +470,7 @@ def test_scoring_sees_the_features_training_saw(case):
                         if k.startswith("transform:")},
             ordinal={"lvl": levels} if "lvl" in numeric else {},
         )
-        ds = data.onehot_encode(data.load_csv(train_csv, schema))
+        ds = data.load_csv(train_csv, schema)
         mu = np.array([float(r["mu_hat"]) for r in read_rows(os.path.join(out, "predictions.csv"))])
         assert np.array_equal(mu, mdl.predict_mu(ds.X))
         fi = [float(r["mean_abs_beta"])

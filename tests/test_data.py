@@ -91,11 +91,13 @@ def test_load_csv_toy(tmp_path):
     )
     ds = data.load_csv(path, toy_schema())
     assert ds.n == 3
-    assert ds.x_names == ["a", "b"]
     np.testing.assert_array_equal(ds.w, [1.0, 2.0, 0.5])
-    # codes over sorted levels: blue=0, red=1
-    np.testing.assert_array_equal(ds.cat_codes["c"], [1, 0, 1])
-    assert ds.cat_levels["c"] == ["blue", "red"]
+    # numeric columns, then one 0/1 column per sorted level: blue, red
+    assert ds.x_names == ["a", "b", "c=blue", "c=red"]
+    assert ds.onehot_groups == {"c": ["c=blue", "c=red"]}
+    np.testing.assert_array_equal(
+        ds.X, [[0.5, 2.0, 0.0, 1.0], [-1.0, 0.0, 1.0, 0.0], [3.0, 1.0, 0.0, 1.0]]
+    )
 
 
 def test_load_csv_nonpositive_weight_names_row(tmp_path):
@@ -165,24 +167,36 @@ def test_load_csv_ordinal_levels(tmp_path):
         data.load_csv(path, schema)
 
 
-def test_onehot_encode_levels_and_groups(tmp_path):
-    path = tmp_path / "t.csv"
-    write_csv(
-        path,
-        ["y", "w", "a", "b", "c"],
-        [[1, 1, 0, 0, "m"], [1, 1, 0, 0, "l"], [1, 1, 0, 0, "s"]],
-    )
-    ds = data.load_csv(path, toy_schema())
-    enc = data.onehot_encode(ds)
-    assert enc.x_names == ["a", "b", "c=l", "c=m", "c=s"]
-    assert enc.onehot_groups == {"c": ["c=l", "c=m", "c=s"]}
+def test_onehot_encode_levels_and_groups():
+    ds = data.Dataset(y=np.ones(3), w=np.ones(3), X=np.zeros((3, 2)),
+                      x_names=["a", "b"])
+    assert data.onehot_encode(ds) is ds
+    enc = data.onehot_encode(ds, {"c": ["m", "l", "s"], "B": ["u", "u", "u"]})
+    # groups follow in column-name order
+    assert enc.x_names == ["a", "b", "B=u", "c=l", "c=m", "c=s"]
+    assert enc.onehot_groups == {"B": ["B=u"], "c": ["c=l", "c=m", "c=s"]}
+    np.testing.assert_array_equal(enc.X[:, 2], np.ones(3))
     # row with the middle sorted level maps to (0, 1, 0)
-    np.testing.assert_array_equal(enc.X[0, 2:], [0.0, 1.0, 0.0])
+    np.testing.assert_array_equal(enc.X[0, 3:], [0.0, 1.0, 0.0])
     # group columns sum to one per row, and argmax decodes the level
-    np.testing.assert_array_equal(enc.X[:, 2:].sum(axis=1), np.ones(3))
+    np.testing.assert_array_equal(enc.X[:, 3:].sum(axis=1), np.ones(3))
     decoded = [enc.onehot_groups["c"][k].split("=")[1]
-               for k in np.argmax(enc.X[:, 2:], axis=1)]
+               for k in np.argmax(enc.X[:, 3:], axis=1)]
     assert decoded == ["m", "l", "s"]
+
+
+def test_onehot_fill_sets_level_columns_and_names_unseen_level():
+    # scoring's map: levels from a model's member names, which may hold "="
+    numeric, groups = data.feature_columns(
+        ["a", "k=v=x", "k=v=y"], {"k=v": ["k=v=x", "k=v=y"]}
+    )
+    assert numeric == {"a": 0} and groups == {"k=v": {"x": 1, "y": 2}}
+    X = np.zeros((2, 3))
+    data.onehot_fill(X, "k=v", ["y", "x"], groups["k=v"], "s.csv")
+    np.testing.assert_array_equal(X, [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    with pytest.raises(DataError) as err:
+        data.onehot_fill(X, "k=v", ["y", "z"], groups["k=v"], "s.csv")
+    assert str(err.value) == "s.csv: unseen level 'z' at row 1, column 'k=v'"
 
 
 def test_split_sizes_and_determinism():
@@ -217,7 +231,7 @@ def test_standardize_moments_and_onehot_passthrough(tmp_path):
         rows.append([1, 1, 100 + 10 * rng.standard_normal(), 5.0,
                      "ab"[i % 2]])
     write_csv(path, ["y", "w", "a", "b", "c"], rows)
-    ds = data.onehot_encode(data.load_csv(path, toy_schema()))
+    ds = data.load_csv(path, toy_schema())
     std, scaler = data.standardize(ds)
     assert std.X[:, 0].mean() == pytest.approx(0.0, abs=1e-12)
     assert std.X[:, 0].std() == pytest.approx(1.0, rel=1e-12)
@@ -227,14 +241,6 @@ def test_standardize_moments_and_onehot_passthrough(tmp_path):
     np.testing.assert_array_equal(std.X[:, 2:], ds.X[:, 2:])
     back = std.X[:, 0] * scaler.x_sd[0] + scaler.x_mean[0]
     np.testing.assert_allclose(back, ds.X[:, 0], rtol=1e-12)
-
-
-def test_standardize_requires_encoding_first(tmp_path):
-    path = tmp_path / "e.csv"
-    write_csv(path, ["y", "w", "a", "b", "c"], [[1, 1, 0, 0, "x"]])
-    ds = data.load_csv(path, toy_schema())
-    with pytest.raises(DataError):
-        data.standardize(ds)
 
 
 def test_schema_validation():

@@ -290,9 +290,8 @@ def fixture_poisson_v1_fit():
             w=w,
             X=np.column_stack([density, power, diesel]),
             x_names=["Density", "VehPower", "Diesel"],
-            cat_codes={"Region": region},
-            cat_levels={"Region": ["R1", "R2", "R3"]},
-        )
+        ),
+        {"Region": [f"R{r + 1}" for r in region]},
     )
     cfg = boosting.BoostConfig(epsilon=0.1, kappa=3, tree=tree.TreeConfig(2, 15))
     return ds, boosting.fit_tvcm(ds, losses.POISSON, losses.LOG, cfg).model
@@ -374,20 +373,3 @@ def test_arity_mismatch_is_contract_violation():
         res.model.beta_of(np.zeros((3, 5)))
     with pytest.raises(DataError):
         res.model.predict_mu(np.zeros((3, 2)))
-
-
-def test_encode_frame_onehot_and_unseen_level():
-    names = ["a", "g=x", "g=y"]
-    scaler = data.Standardizer(x_mean=np.zeros(3), x_sd=np.ones(3))
-    space = model.FeatureSpace(
-        feature_names=names,
-        modifier_sets=[np.arange(3)] * 3,
-        onehot_groups={"g": ["g=x", "g=y"]},
-        scaler=scaler,
-    )
-    X = space.encode_frame({"a": [1.0, 2.0], "g": ["y", "x"]})
-    np.testing.assert_array_equal(X, [[1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
-    with pytest.raises(DataError, match="row 1.*'z'"):
-        space.encode_frame({"a": [1.0, 2.0], "g": ["y", "z"]})
-    with pytest.raises(DataError, match="missing column"):
-        space.encode_frame({"a": [1.0]})

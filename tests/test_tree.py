@@ -1,4 +1,6 @@
+import gc
 import logging
+import weakref
 
 import numpy as np
 import pytest
@@ -380,6 +382,20 @@ def test_route_arity_mismatch():
         tree.assign(np.array([1.0, 2.0]))
     with pytest.raises(DomainError):
         tree.predict(np.zeros((3, 2)))
+
+
+def test_routing_frees_its_input_on_return():
+    tree, _, _ = four_row_tree()
+    gc.disable()
+    try:
+        for route in (tree.predict, tree.assign):
+            Q = np.array([[0.5], [3.5]])
+            routed = weakref.ref(Q)
+            route(Q)
+            del Q
+            assert routed() is None
+    finally:
+        gc.enable()
 
 
 def test_routing_matches_region_scan():
