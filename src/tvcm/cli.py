@@ -194,13 +194,25 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+# a row of these cells needs no quoting, so it is written without csv
+_PLAIN_CELL_TYPES = frozenset((float, int))
+
+
 def write_csv(path: str, header: list[str], rows) -> None:
     """Headered CSV; ints print as ints and floats in shortest
-    round-trip form, so rereading a cell gives back its exact value."""
+    round-trip form, so rereading a cell gives back its exact value.
+    A row of Python floats and ints alone is joined directly, with the
+    bytes the csv module would write; a row with any other cell goes
+    through the csv module, which quotes strings where needed."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
+        write = fh.write
         for row in rows:
+            if _PLAIN_CELL_TYPES.issuperset(map(type, row)):
+                write(",".join(map(repr, row)))
+                write("\r\n")
+                continue
             writer.writerow([
                 repr(cell) if type(cell) is float
                 else cell if isinstance(cell, str) else _fmt(cell)

@@ -15,7 +15,8 @@ All functions are pure and accept scalars or numpy arrays. The public
 call the private ``_value``/``_deriv`` instead: same arithmetic, with y
 and w trusted because the public fit entry points (``fit_tvcm``,
 ``fit_glm``, ``train``, ``tune_kappa``, and ``adjust_leaves`` once per
-tree) check them first. They keep the Poisson mu > 0 test, since mu
+call) check them first; the trees of a fit take their leaf step
+without that per-tree check. They keep the Poisson mu > 0 test, since mu
 there comes from a stepped linear predictor that no entry check covers.
 
 What depends on eta alone is kept in an ``EtaRecord``, one per eta, so

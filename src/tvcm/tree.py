@@ -14,7 +14,10 @@ bundling), and each member's split puts its own bin on the right. Any
 other column with at most one distinct value per 8 rows gets one
 histogram bin per value (LightGBM's histogram scan with exact bins),
 and every other column is scanned along its presorted order (XGBoost's
-exact greedy scan). Only nodes that search carry every presorted
+exact greedy scan). A presorted column whose values are all distinct is
+tie-free: a cut between any two neighbours in its order is valid at
+every node, so its scan reads the node's centered gradients alone,
+without its sorted values. Only nodes that search carry every presorted
 column's row order: a leaf gets its rows alone, and the columns of a
 searching node share its centered gradients and per-cut row counts
 (see ``fit_partition``).
@@ -241,11 +244,16 @@ class SplitIndex:
     Every other column keeps its stable sort order. ``orders[0]`` is
     column 0's stable sort order, the row order every node keeps;
     ``sorted_slots`` maps each presorted column to its slot in
-    ``orders`` (column 0, when presorted, is slot 0).
+    ``orders`` (column 0, when presorted, is slot 0). ``tie_free`` holds
+    the presorted columns whose n values are n distinct numbers, so a cut
+    between neighbours in their order is valid at every node. ``shape``
+    is the (rows, columns) shape of the matrix the index was built on.
     """
 
+    shape: tuple
     orders: tuple
     sorted_slots: dict
+    tie_free: frozenset
     binned: np.ndarray
     codes: np.ndarray
     levels: tuple
@@ -264,7 +272,8 @@ def presort_columns(Z, groups=()) -> SplitIndex:
     ungrouped. Every ungrouped column is stably sorted once. One with
     distinct values times ``_BIN_RATIO`` at most the row count keeps the
     rank of each row's value as a bin code; every other column keeps its
-    sort order.
+    sort order, and is tie-free when its distinct values (counted for
+    the bin choice) are as many as its rows.
     """
     Z = np.asarray(Z, dtype=float)
     n, q = Z.shape
@@ -277,7 +286,8 @@ def presort_columns(Z, groups=()) -> SplitIndex:
             code = block @ np.arange(1.0, members.size + 1)
             bundle_codes.append(code.astype(np.intp))
     bundled = {f for members in bundles for f in members.tolist()}
-    orders, sorted_slots, binned, ranks, levels = [], {}, [], [], []
+    orders, sorted_slots, tie_free = [], {}, set()
+    binned, ranks, levels = [], [], []
     for f in range(q):
         if f in bundled and f > 0:
             continue
@@ -288,10 +298,15 @@ def presort_columns(Z, groups=()) -> SplitIndex:
             continue
         v = Z[order, f]
         new_value = v[1:] != v[:-1]
-        if (int(np.count_nonzero(new_value)) + 1) * _BIN_RATIO > n:
+        distinct = int(np.count_nonzero(new_value)) + 1
+        if distinct * _BIN_RATIO > n:
             if f > 0:
                 orders.append(order)
             sorted_slots[f] = len(orders) - 1
+            # NaN sorts last and is unequal to itself, but no cut next to
+            # it is valid: a column holding one is scanned with its values
+            if distinct == n and not math.isnan(v[-1]):
+                tie_free.add(f)
             continue
         rank = np.empty(n, dtype=np.intp)
         rank[order] = np.concatenate(([0], np.cumsum(new_value)))
@@ -307,7 +322,8 @@ def presort_columns(Z, groups=()) -> SplitIndex:
         codes[:, c] = code + c * n_bins
     root_counts = np.bincount(codes.ravel(), minlength=nc * n_bins)
     return SplitIndex(
-        tuple(orders), sorted_slots, np.asarray(binned, dtype=np.int64),
+        (n, q), tuple(orders), sorted_slots, frozenset(tie_free),
+        np.asarray(binned, dtype=np.int64),
         codes, tuple(levels), n_bins, tuple(bundles),
         root_counts.reshape(nc, n_bins),
     )
@@ -322,24 +338,27 @@ def _split_gain(s_left, n_left, s_right, n_right, total, m):
     return gain
 
 
-def _best_split_for_feature(v, gc, lo, n_left, n_right):
+def _best_split_for_feature(gc, lo, n_left, n_right, v=None):
     """Best (gain, position) on one presorted feature; the cut falls
-    between ``v[position]`` and ``v[position + 1]``.
+    between sorted positions ``position`` and ``position + 1``.
 
-    ``v`` is sorted feature values and ``gc`` the matching centered
-    gradients. Cut positions run from ``lo`` to ``lo + n_left.size - 1``;
-    ``n_left``/``n_right`` are the row counts on each side of them, the
-    same for every feature of a node. Gains come from prefix sums of the
-    centered gradients, so constant gradient vectors yield exact zeros.
+    ``gc`` is the node's centered gradients in the feature's sort order
+    and ``v`` the matching sorted feature values, or None for a tie-free
+    feature, where every cut is valid. Cut positions run from ``lo`` to
+    ``lo + n_left.size - 1``; ``n_left``/``n_right`` are the row counts
+    on each side of them, the same for every feature of a node. Gains
+    come from prefix sums of the centered gradients, so constant
+    gradient vectors yield exact zeros.
     """
     hi = lo + n_left.size
-    valid = v[lo:hi] < v[lo + 1 : hi + 1]
-    if not valid.any():
-        return None
+    if v is not None:
+        valid = v[lo:hi] < v[lo + 1 : hi + 1]
+        if not valid.any():
+            return None
     cs = gc.cumsum()
     s_left = cs[lo:hi]
     gain = _split_gain(s_left, n_left, cs[-1] - s_left, n_right, cs[-1], gc.size)
-    if not valid.all():  # tied values: no cut between equal values
+    if v is not None and not valid.all():  # no cut between equal values
         gain[~valid] = -math.inf
     k = int(gain.argmax())  # first max: lowest threshold wins ties
     return float(gain[k]), lo + k
@@ -406,7 +425,8 @@ def fit_partition(
     no split has positive gain. Fewer than 2*min_samples_leaf rows give
     a single-leaf tree. Leaf values are left at 0 pending adjust_leaves.
     ``presorted`` is ``presort_columns(modifiers)``, built here when
-    None. Presorted columns are scanned along their sort orders, binned
+    None; an index built on a matrix of another shape is a DomainError.
+    Presorted columns are scanned along their sort orders, binned
     columns and bundles through one histogram per node; the best gain of
     each column enters one gain vector whose first maximum wins. A split
     on a bundle member has threshold 0.5, so its rows go right.
@@ -419,10 +439,15 @@ def fit_partition(
     order alone, and a leaf never gathers its gradients. At a node that
     searches, the centered gradients, the cut range and the left and
     right row counts of each cut position are computed once and shared
-    by every column's scan. A node's per-bin row counts need no pass of
-    their own at the root (``SplitIndex.root_counts``) or at a right
-    child whose left sibling counted its rows; gradient sums always take
-    one ``bincount`` per node.
+    by every column's scan: the centered gradients are scattered once
+    into a buffer indexed by row, from which each presorted column
+    gathers them in its own order. A tie-free column's scan reads
+    nothing else; a column with ties also gathers its sorted values to
+    rule out cuts between equal values. The winning column's threshold
+    reads only the two values at its cut. A node's per-bin row counts
+    need no pass of their own at the root (``SplitIndex.root_counts``)
+    or at a right child whose left sibling counted its rows; gradient
+    sums always take one ``bincount`` per node.
     """
     g = np.ascontiguousarray(gradients, dtype=float)
     Z = np.asfortranarray(modifiers, dtype=float)
@@ -431,16 +456,24 @@ def fit_partition(
     n, q = Z.shape
     if g.shape != (n,):
         raise DomainError("gradient length must equal modifier row count")
+    if presorted is not None and presorted.shape != (n, q):
+        raise DomainError(
+            f"split index was built for a {presorted.shape[0]}x"
+            f"{presorted.shape[1]} matrix, modifiers are {n}x{q}"
+        )
     index = presort_columns(Z) if presorted is None else presorted
     cols = [Z[:, f] for f in range(q)]  # contiguous: Z is column-major
     bundled = {f for members in index.bundles for f in members.tolist()}
     # left-side row counts of every cut position, sliced per node
     ranks = np.arange(1, n + 1, dtype=float)
+    # a searching node's centered gradients by row, when a presorted
+    # column other than column 0 reads them in its own order
+    by_row = np.empty(n) if len(index.orders) > 1 else None
 
     tree = RegressionTree(q)
     min_leaf = config.min_samples_leaf
 
-    def best_split(orders, gc, mean, counts):
+    def best_split(orders, gc, counts):
         """(gain, feature, threshold) of the largest gain, or None, and
         the node's per-bin row counts.
 
@@ -454,10 +487,13 @@ def fit_partition(
         n_right = m - n_left
         gains = np.full(q, -math.inf)
         cuts = {}  # sorted position of each presorted column's best cut
+        if by_row is not None:
+            by_row[orders[0]] = gc
         for f, slot in index.sorted_slots.items():
             o = orders[slot]
             found = _best_split_for_feature(
-                cols[f][o], gc if slot == 0 else g[o] - mean, lo, n_left, n_right
+                gc if slot == 0 else by_row[o], lo, n_left, n_right,
+                None if f in index.tie_free else cols[f][o],
             )
             if found is not None:
                 gains[f], cuts[f] = found
@@ -504,11 +540,10 @@ def fit_partition(
         best = None
         if depth < config.max_depth and m >= 2 * min_leaf:
             gr = g[rows]
-            mean = float(gr.mean())
-            gc = gr - mean
+            gc = gr - float(gr.mean())
             sse = float((gc**2).sum())
             if sse > 0.0:
-                best, counts = best_split(orders, gc, mean, counts)
+                best, counts = best_split(orders, gc, counts)
                 if best is not None and best[0] <= _GAIN_REL_EPS * sse:
                     best = None
         if best is None:
@@ -523,13 +558,15 @@ def fit_partition(
         tree.feature[node] = f
         tree.threshold[node] = thr
         tree.gain[node] = gain
+        # compress, not o[s]: the same rows, and several times faster
+        # than boolean indexing on large shuffled masks
         tree.left[node], left_counts = build(
-            [o[s] for o, s in zip(orders, sel)], depth + 1, None
+            [o.compress(s) for o, s in zip(orders, sel)], depth + 1, None
         )
         # exact in integers: the right child's counts are the rest
         right_counts = None if left_counts is None else counts - left_counts
         tree.right[node], _ = build(
-            [o[~s] for o, s in zip(orders, sel)], depth + 1, right_counts
+            [o.compress(~s) for o, s in zip(orders, sel)], depth + 1, right_counts
         )
         return node, counts
 
@@ -626,14 +663,23 @@ def adjust_leaves(
     are passes a caller may already have made; each is computed here
     when None, with the same leaf values either way.
     """
-    x_col = np.asarray(x_col, dtype=float)
-    eta = np.asarray(eta, dtype=float)
     y = np.asarray(y, dtype=float)
     w = np.asarray(w, dtype=float)
     if w.ndim == 0:
-        w = np.full_like(eta, float(w))
-    # once per tree, so the per-leaf guard below runs unchecked
+        w = np.full_like(y, float(w))
+    # once per call, so the per-leaf guard runs unchecked
     require_fit_response(y, w, loss, "leaf adjustment")
+    return _set_leaf_values(
+        tree, modifiers, x_col, eta, y, w, loss, link, leaf_of, row_loss
+    )
+
+
+def _set_leaf_values(tree, modifiers, x_col, eta, y, w, loss, link, leaf_of,
+                     row_loss) -> RegressionTree:
+    """``adjust_leaves`` on y and w (length-n arrays) that its caller has
+    already checked."""
+    x_col = np.asarray(x_col, dtype=float)
+    eta = np.asarray(eta, dtype=float)
     if leaf_of is None:
         leaf_of = tree.assign(modifiers)
     if row_loss is None:
@@ -672,12 +718,14 @@ def fit_gradient_tree(
 ) -> RegressionTree:
     """Fit one boosting tree along direction ``x_col`` at the linear
     predictor of ``at_eta``: gradients ``x_col * at_eta.base``,
-    partition, leaf adjustment with the record's per-row loss."""
+    partition, leaf adjustment with the record's per-row loss. The
+    record's y and w were checked by the fit's entry point, so the leaf
+    step does not check them again."""
     g = np.asarray(x_col, dtype=float) * at_eta.base
     tree = fit_partition(
         g, modifiers, config, presorted=presorted, assign_out=assign_out
     )
-    return adjust_leaves(
+    return _set_leaf_values(
         tree, modifiers, x_col, at_eta.eta, at_eta.y, at_eta.w, at_eta.loss,
-        at_eta.link, leaf_of=assign_out, row_loss=at_eta.row_loss,
+        at_eta.link, assign_out, at_eta.row_loss,
     )

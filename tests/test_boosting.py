@@ -558,6 +558,29 @@ def test_poisson_fit_calls_no_checked_loss_evaluation(monkeypatch):
     assert calls == ["value"]  # the counter is live
 
 
+def test_fit_checks_response_and_weight_once_not_per_tree(monkeypatch):
+    # fit_tvcm checks y and w at its entry; its trees take the leaf step
+    # without the public adjust_leaves' per-call check
+    checks = []
+    real = tree.require_fit_response
+
+    def counting(*args):
+        checks.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(tree, "require_fit_response", counting)
+    ds, _ = sim_encoded(n=1000, seed=3)
+    res = fit(ds, kappa=4, stopping=boosting.StoppingConfig(patience=4, seed=1))
+    assert res.model.kappa.sum() > 0
+    assert checks == []
+    rng = np.random.default_rng(0)
+    Z = rng.standard_normal((60, 1))
+    t = tree.fit_partition(rng.standard_normal(60), Z, tree.TreeConfig(1, 10))
+    tree.adjust_leaves(t, Z, np.ones(60), np.zeros(60), np.ones(60), 1.0,
+                       losses.GAUSSIAN, losses.IDENTITY)
+    assert checks == ["leaf adjustment"]  # the counter is live
+
+
 def poisson_dataset_with_negative_response():
     rng = np.random.default_rng(4)
     X = rng.standard_normal((200, 2))

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tvcm import boosting, data, model
-from tvcm.cli import main
+from tvcm.cli import main, write_csv
 
 
 def run(args):
@@ -578,3 +578,23 @@ def test_poisson_tune_rejects_a_negative_real_kind_response(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "negative response at row 4, column 'response'" in err
+
+
+def test_write_csv_writes_the_bytes_of_the_csv_module(tmp_path):
+    # numeric rows skip the csv module; every row must still read back
+    # byte for byte as the csv module writes it
+    rows = [
+        [-0.0, 0.0, float("nan"), float("inf"), -float("inf")],
+        [1e-7, 1e16, 1e20, 0.1, -2.5e-300],
+        [0, -7, 2**63, -(10**30), 12345678901234567890],
+        [3, 1.5, 'a "quoted", cell', "plain", -0.0],
+        [1.0, True, 2],
+        [],
+    ]
+    path = tmp_path / "out.csv"
+    write_csv(path, ["a", "b,c", "d"], rows)
+    with open(tmp_path / "ref.csv", "w", newline="", encoding="utf-8") as fh:
+        # write_csv prints a bool as an int, as it always has
+        csv.writer(fh).writerows([["a", "b,c", "d"], *rows[:4],
+                                  [1.0, 1, 2], []])
+    assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()

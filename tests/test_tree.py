@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import logging
 import weakref
@@ -657,6 +658,109 @@ def test_root_counts_are_the_histogram_of_every_row():
         levels, counts = np.unique(Z[:, f], return_counts=True)
         assert index.root_counts[c, : levels.size].tolist() == counts.tolist()
         assert not index.root_counts[c, levels.size :].any()
+
+
+def test_tie_free_columns_are_the_presorted_columns_with_distinct_values():
+    rng = np.random.default_rng(6)
+    n = 64
+    cont = rng.standard_normal(n)
+    repeated = cont.copy()
+    repeated[9] = repeated[40]
+    signed_zero = cont.copy()
+    signed_zero[[3, 17]] = [0.0, -0.0]
+    with_nan = cont.copy()
+    with_nan[5] = np.nan
+    Z = np.column_stack(
+        [cont, repeated, signed_zero, rng.integers(0, 4, n), with_nan, -cont]
+    ).astype(float)
+    index = presort_columns(Z)
+    assert index.shape == (n, 6)
+    assert index.binned.tolist() == [3]
+    assert sorted(index.sorted_slots) == [0, 1, 2, 4, 5]
+    assert index.tie_free == {0, 5}
+
+
+def test_no_cut_between_tied_values():
+    # gradients change sign inside a run of tied values, where the best
+    # cut would fall; no tree cuts there (threshold 18.0), whether the
+    # tied column is column 0 or another presorted column
+    rng = np.random.default_rng(11)
+    n = 40
+    z = np.arange(n, dtype=float)
+    z[18:23] = 18.0
+    g = np.where(np.arange(n) < 20, -1.0, 1.0)
+    shuffle = rng.permutation(n)
+    z, g = z[shuffle], g[shuffle]
+    for Z in (z[:, None], np.column_stack([rng.permutation(n) * 0.1, z])):
+        f = Z.shape[1] - 1
+        index = presort_columns(Z)
+        assert f in index.sorted_slots and f not in index.tie_free
+        for depth, min_leaf in ((1, 1), (3, 1), (2, 4)):
+            tree = fit_partition(g, Z, TreeConfig(depth, min_leaf))
+            thr = tree.threshold[tree.feature == f]
+            assert thr.size and not np.any(thr == 18.0)
+            if f == 0:  # the only column: tied rows share a leaf
+                assert np.unique(tree.assign(Z)[z == 18.0]).size == 1
+
+
+@st.composite
+def mixed_column_fits(draw):
+    """Gradients, a modifier matrix of continuous, rounded and partly
+    repeated columns, and a tree config of depth 1-3, min leaf 1-14."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 240))
+    kinds = draw(st.lists(st.sampled_from(["continuous", "rounded", "mixed"]),
+                          min_size=1, max_size=4))
+    cols = []
+    for kind in kinds:
+        col = rng.standard_normal(n)
+        if kind == "rounded":
+            col = np.round(col, draw(st.integers(0, 2)))
+        elif kind == "mixed":  # a few values repeated
+            k = draw(st.integers(1, max(1, n // 4)))
+            col[rng.integers(0, n, k)] = col[rng.integers(0, n, k)]
+        cols.append(col)
+    Z = np.column_stack(cols)
+    g = rng.standard_normal(n) + 2.0 * (Z[:, -1] > 0)
+    config = TreeConfig(draw(st.integers(1, 3)), draw(st.integers(1, 14)))
+    return g, Z, config
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(mixed_column_fits())
+def test_tie_free_scan_fits_the_trees_of_the_masked_scan(case):
+    # the masked scan (every presorted column checked for equal values)
+    # is the reference: the tie-free path must give the same bytes
+    g, Z, config = case
+    index = presort_columns(Z)
+    masked = dataclasses.replace(index, tie_free=frozenset())
+    outs = [np.full(g.size, -1, dtype=np.int32) for _ in range(2)]
+    fast = fit_partition(g, Z, config, presorted=index, assign_out=outs[0])
+    slow = fit_partition(g, Z, config, presorted=masked, assign_out=outs[1])
+    for attr in ("feature", "threshold", "left", "right", "count", "gain"):
+        a, b = getattr(fast, attr), getattr(slow, attr)
+        assert a.tobytes() == b.tobytes(), attr
+    assert outs[0].tobytes() == outs[1].tobytes()
+
+
+@pytest.mark.parametrize(
+    "rows, cols, built",
+    [(slice(0, 100), slice(None), "100x3"),
+     (slice(None), slice(0, 2), "120x2"),
+     (None, None, "150x3")],
+    ids=["fewer-rows", "fewer-columns", "more-rows"],
+)
+def test_split_index_of_another_shape_is_rejected(rows, cols, built):
+    rng = np.random.default_rng(13)
+    Z = rng.standard_normal((120, 3))
+    other = rng.standard_normal((150, 3)) if rows is None else Z[rows, cols]
+    index = presort_columns(other)
+    assert index.shape == other.shape
+    with pytest.raises(
+        DomainError, match=f"built for a {built} matrix, modifiers are 120x3"
+    ):
+        fit_partition(rng.standard_normal(120), Z, TreeConfig(2, 5),
+                      presorted=index)
 
 
 @st.composite
