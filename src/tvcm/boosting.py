@@ -223,7 +223,7 @@ class _CycleState:
         return tree, self._assign_buf.copy()
 
     def apply(self, j: int, tree, leaf_of: np.ndarray, cycle: int) -> None:
-        self.eta = self.eta + self.eps[j] * tree.value[leaf_of] * self.x_cols[j]
+        self.eta = self.eta + self.eps[j] * np.take(tree.value, leaf_of) * self.x_cols[j]
         if not np.all(np.isfinite(self.eta)):
             raise FitError(
                 f"non-finite linear predictor after cycle {cycle}, "

@@ -196,14 +196,20 @@ def _fmt(value) -> str:
 
 # a row of these cells needs no quoting, so it is written without csv
 _PLAIN_CELL_TYPES = frozenset((float, int))
+# numpy's float64 (a float subclass) and integer scalars need none either
+_NUMBER_CELL_TYPES = _PLAIN_CELL_TYPES | {np.float64} | {
+    np.dtype(c).type for c in np.typecodes["AllInteger"]
+}
 
 
 def write_csv(path: str, header: list[str], rows) -> None:
     """Headered CSV; ints print as ints and floats in shortest
     round-trip form, so rereading a cell gives back its exact value.
-    A row of Python floats and ints alone is joined directly, with the
-    bytes the csv module would write; a row with any other cell goes
-    through the csv module, which quotes strings where needed."""
+    A row of Python floats and ints is joined with ``repr``, and any
+    other row of Python or numpy float64 and integer cells with
+    ``float.__repr__`` and integer text: the bytes the csv module would
+    write. A row with any other cell (a string, a bool, a float32)
+    goes through the csv module, which quotes strings where needed."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -211,13 +217,19 @@ def write_csv(path: str, header: list[str], rows) -> None:
         for row in rows:
             if _PLAIN_CELL_TYPES.issuperset(map(type, row)):
                 write(",".join(map(repr, row)))
-                write("\r\n")
+            elif _NUMBER_CELL_TYPES.issuperset(map(type, row)):
+                write(",".join([
+                    float.__repr__(cell) if isinstance(cell, float)
+                    else str(int(cell))
+                    for cell in row
+                ]))
+            else:
+                writer.writerow([
+                    cell if isinstance(cell, str) else _fmt(cell)
+                    for cell in row
+                ])
                 continue
-            writer.writerow([
-                repr(cell) if type(cell) is float
-                else cell if isinstance(cell, str) else _fmt(cell)
-                for cell in row
-            ])
+            write("\r\n")
 
 
 def _rows_of(*cols):

@@ -27,6 +27,10 @@ from .tree import RegressionTree
 
 MODEL_FORMAT_VERSION = 1
 
+# IRLS: the ridge on the non-intercept block of the normal equations,
+# the relative loss change that stops it, and its iteration cap
+_IRLS_RIDGE, _IRLS_TOL, _IRLS_MAX_ITER = 1e-8, 1e-10, 100
+
 
 @dataclass
 class GlmCoefficients:
@@ -198,7 +202,7 @@ class TvcmModel:
 # -- GLM fitting (IRLS) -------------------------------------------------------
 
 
-def _irls(y, w, X, loss, link, ridge=1e-8, tol=1e-10, max_iter=100):
+def _irls(y, w, X, loss, link):
     n, p = X.shape
     wy = float(np.sum(w * y))
     sw = float(np.sum(w))
@@ -211,11 +215,11 @@ def _irls(y, w, X, loss, link, ridge=1e-8, tol=1e-10, max_iter=100):
         beta0 = wy / sw
     beta = np.zeros(p)
     A = np.column_stack([np.ones(n), X])
-    ridge_diag = np.concatenate([[0.0], np.full(p, ridge)])
+    ridge_diag = np.concatenate([[0.0], np.full(p, _IRLS_RIDGE)])
     coefs = np.concatenate([[beta0], beta])
     cur = loss_total(loss, link, A @ coefs, y, w)
     consecutive_bad = 0
-    for _ in range(max_iter):
+    for _ in range(_IRLS_MAX_ITER):
         eta = A @ coefs
         if link.kind == "log":
             check_eta(eta, context="glm fit")
@@ -251,7 +255,7 @@ def _irls(y, w, X, loss, link, ridge=1e-8, tol=1e-10, max_iter=100):
         coefs = new
         rel = abs(cur - new_loss) / max(1.0, abs(cur))
         cur = new_loss
-        if rel <= tol:
+        if rel <= _IRLS_TOL:
             break
     return GlmCoefficients(beta0=float(coefs[0]), beta=coefs[1:].copy())
 

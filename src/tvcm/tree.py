@@ -21,12 +21,14 @@ without its sorted values. Only nodes that search carry every presorted
 column's row order: a leaf gets its rows alone, and the columns of a
 searching node share its centered gradients and per-cut row counts
 (see ``fit_partition``).
-Routing has one descent routine: ``predict`` carries the leaf values
-down the tree with ``np.where`` and ``assign`` carries the leaf ids.
-It reads the node structure from the builder's Python lists and the
-leaf values at call time, because ``adjust_leaves`` sets them after the
-tree is frozen. Fitted trees are immutable once published;
-``assign``/``predict``/``split_gains`` are read-only and safe to share.
+A tree keeps its nodes in the builder's Python lists, one per node
+field; loading, routing, leaf steps, split gains and serialization read
+them, with no numpy scalar per node. Routing has one descent routine:
+``predict`` carries the leaf values down the tree with ``np.where`` and
+``assign`` carries the leaf ids. It reads the leaf values at call time,
+because ``adjust_leaves`` sets them after the tree is built. Fitted trees
+are immutable once published; ``assign``/``predict``/``split_gains`` are
+read-only and safe to share.
 """
 
 from __future__ import annotations
@@ -69,11 +71,14 @@ class TreeConfig:
 
 
 class RegressionTree:
-    """Axis-aligned binary partition stored as flat node arrays.
+    """Axis-aligned binary partition stored as the builder's Python lists,
+    one entry per node in each of seven node fields.
 
     Node 0 is the root. Internal nodes carry (feature, threshold,
     left, right, gain); leaves carry (value, count) and have
-    feature == -1.
+    feature == -1. Routing, leaf steps, split gains and serialization
+    read the lists as they are: indexing a list is cheaper than boxing a
+    numpy scalar per node.
     """
 
     __slots__ = (
@@ -85,42 +90,29 @@ class RegressionTree:
         "count",
         "gain",
         "n_features",
-        "_route",
     )
 
     def __init__(self, n_features: int):
-        self.feature: list | np.ndarray = []
-        self.threshold: list | np.ndarray = []
-        self.left: list | np.ndarray = []
-        self.right: list | np.ndarray = []
-        self.value: list | np.ndarray = []
-        self.count: list | np.ndarray = []
-        self.gain: list | np.ndarray = []
+        self.feature: list[int] = []
+        self.threshold: list[float] = []
+        self.left: list[int] = []
+        self.right: list[int] = []
+        self.value: list[float] = []
+        self.count: list[int] = []
+        self.gain: list[float] = []
         self.n_features = int(n_features)
 
     # -- builder ----------------------------------------------------------
 
     def _add_node(self, count: int) -> int:
         self.feature.append(-1)
-        self.threshold.append(np.nan)
+        self.threshold.append(math.nan)
         self.left.append(-1)
         self.right.append(-1)
         self.value.append(0.0)
         self.count.append(count)
         self.gain.append(0.0)
         return len(self.feature) - 1
-
-    def _freeze(self) -> None:
-        # routing reads the builder's lists: indexing them is cheaper
-        # than indexing numpy scalars
-        self._route = (self.feature, self.threshold, self.left, self.right)
-        self.feature = np.asarray(self.feature, dtype=np.int32)
-        self.threshold = np.asarray(self.threshold, dtype=float)
-        self.left = np.asarray(self.left, dtype=np.int32)
-        self.right = np.asarray(self.right, dtype=np.int32)
-        self.value = np.asarray(self.value, dtype=float)
-        self.count = np.asarray(self.count, dtype=np.int64)
-        self.gain = np.asarray(self.gain, dtype=float)
 
     # -- read-only interface ----------------------------------------------
 
@@ -130,7 +122,7 @@ class RegressionTree:
 
     @property
     def n_leaves(self) -> int:
-        return int(np.sum(np.asarray(self.feature) < 0))
+        return sum(f < 0 for f in self.feature)
 
     def leaf_ids(self) -> np.ndarray:
         return np.flatnonzero(np.asarray(self.feature) < 0)
@@ -146,16 +138,15 @@ class RegressionTree:
                 f"modifier row has arity {Z.shape[-1]}, tree expects "
                 f"{self.n_features}"
             )
-        feature, threshold, left, right = self._route
 
         def descend(node):
-            f = feature[node]
+            f = self.feature[node]
             if f < 0:
                 return payload[node]
             return np.where(
-                Z[:, f] <= threshold[node],
-                descend(left[node]),
-                descend(right[node]),
+                Z[:, f] <= self.threshold[node],
+                descend(self.left[node]),
+                descend(self.right[node]),
             )
 
         out = descend(0)
@@ -178,7 +169,7 @@ class RegressionTree:
         out: dict[int, float] = {}
         for f, g in zip(self.feature, self.gain):
             if f >= 0:
-                out[int(f)] = out.get(int(f), 0.0) + float(g)
+                out[f] = out.get(f, 0.0) + g
         return out
 
     # -- serialization ------------------------------------------------------
@@ -186,42 +177,35 @@ class RegressionTree:
     def to_dict(self) -> dict:
         nodes = []
         gains = []
-        for i in range(self.n_nodes):
-            if self.feature[i] >= 0:
+        for f, thr, left, right, value, count, gain in zip(
+            self.feature, self.threshold, self.left, self.right, self.value,
+            self.count, self.gain,
+        ):
+            if f >= 0:
                 nodes.append(
-                    {
-                        "feature": int(self.feature[i]),
-                        "threshold": float(self.threshold[i]),
-                        "left": int(self.left[i]),
-                        "right": int(self.right[i]),
-                    }
+                    {"feature": f, "threshold": thr, "left": left, "right": right}
                 )
-                gains.append(float(self.gain[i]))
+                gains.append(gain)
             else:
-                nodes.append(
-                    {
-                        "leaf_value": float(self.value[i]),
-                        "count": int(self.count[i]),
-                    }
-                )
+                nodes.append({"leaf_value": value, "count": count})
                 gains.append(None)
         return {"n_features": self.n_features, "nodes": nodes, "gains": gains}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RegressionTree":
         tree = cls(payload["n_features"])
-        gains = payload.get("gains") or [None] * len(payload["nodes"])
-        for node, gain in zip(payload["nodes"], gains):
-            nid = tree._add_node(node.get("count", 0))
-            if "feature" in node:
-                tree.feature[nid] = node["feature"]
-                tree.threshold[nid] = node["threshold"]
-                tree.left[nid] = node["left"]
-                tree.right[nid] = node["right"]
-                tree.gain[nid] = 0.0 if gain is None else gain
-            else:
-                tree.value[nid] = node["leaf_value"]
-        tree._freeze()
+        nodes = payload["nodes"]
+        gains = payload.get("gains") or [None] * len(nodes)
+        # one tuple of the seven fields per node, transposed into the lists
+        (tree.feature, tree.threshold, tree.left, tree.right, tree.value,
+         tree.count, tree.gain) = map(list, zip(*[
+            (int(d["feature"]), float(d["threshold"]), int(d["left"]),
+             int(d["right"]), 0.0, int(d.get("count", 0)),
+             0.0 if g is None else float(g))
+            if "feature" in d else
+            (-1, math.nan, -1, -1, float(d["leaf_value"]), int(d.get("count", 0)), 0.0)
+            for d, g in zip(nodes, gains, strict=True)
+        ]))
         return tree
 
 
@@ -262,6 +246,16 @@ class SplitIndex:
     root_counts: np.ndarray
 
 
+def _require_finite(M, what: str) -> None:
+    """DomainError naming the first row of M holding a NaN or an
+    infinity, and for a matrix that row's first such column."""
+    ok = np.isfinite(M)
+    if not ok.all():
+        bad = np.argwhere(~ok)[0].tolist()
+        at = f"row {bad[0]}" + (f", column {bad[1]}" if len(bad) == 2 else "")
+        raise DomainError(f"non-finite {what} at {at}")
+
+
 def presort_columns(Z, groups=()) -> SplitIndex:
     """Split-search index of Z, reusable across trees on the same Z.
 
@@ -273,10 +267,12 @@ def presort_columns(Z, groups=()) -> SplitIndex:
     distinct values times ``_BIN_RATIO`` at most the row count keeps the
     rank of each row's value as a bin code; every other column keeps its
     sort order, and is tie-free when its distinct values (counted for
-    the bin choice) are as many as its rows.
+    the bin choice) are as many as its rows. A NaN or an infinity in Z
+    is a DomainError naming its row and column.
     """
     Z = np.asarray(Z, dtype=float)
     n, q = Z.shape
+    _require_finite(Z, "modifier")
     bundles, bundle_codes = [], []
     for members in groups:
         members = np.asarray(members, dtype=np.int64)
@@ -303,9 +299,7 @@ def presort_columns(Z, groups=()) -> SplitIndex:
             if f > 0:
                 orders.append(order)
             sorted_slots[f] = len(orders) - 1
-            # NaN sorts last and is unequal to itself, but no cut next to
-            # it is valid: a column holding one is scanned with its values
-            if distinct == n and not math.isnan(v[-1]):
+            if distinct == n:
                 tie_free.add(f)
             continue
         rank = np.empty(n, dtype=np.intp)
@@ -426,6 +420,8 @@ def fit_partition(
     a single-leaf tree. Leaf values are left at 0 pending adjust_leaves.
     ``presorted`` is ``presort_columns(modifiers)``, built here when
     None; an index built on a matrix of another shape is a DomainError.
+    A NaN or an infinity in the gradients, or in the modifiers when the
+    index is built here, is a DomainError naming its row.
     Presorted columns are scanned along their sort orders, binned
     columns and bundles through one histogram per node; the best gain of
     each column enters one gain vector whose first maximum wins. A split
@@ -456,6 +452,7 @@ def fit_partition(
     n, q = Z.shape
     if g.shape != (n,):
         raise DomainError("gradient length must equal modifier row count")
+    _require_finite(g, "gradient")
     if presorted is not None and presorted.shape != (n, q):
         raise DomainError(
             f"split index was built for a {presorted.shape[0]}x"
@@ -575,7 +572,6 @@ def fit_partition(
     # gradients and row orders it holds are freed now, not at the next
     # garbage collection
     del build
-    tree._freeze()
     return tree
 
 
@@ -632,17 +628,7 @@ def _newton_gamma(x, eta, y, w) -> float:
 
 
 def adjust_leaves(
-    tree: RegressionTree,
-    modifiers,
-    x_col,
-    eta,
-    y,
-    w,
-    loss,
-    link,
-    leaf_of: np.ndarray | None = None,
-    *,
-    row_loss: np.ndarray | None = None,
+    tree: RegressionTree, modifiers, x_col, eta, y, w, loss, link
 ) -> RegressionTree:
     """Set each leaf value to the loss-minimizing unshrunk step.
 
@@ -657,36 +643,29 @@ def adjust_leaves(
     and a warning is logged. A NaN or an infinity in y or w, a weight
     <= 0 and, under the Poisson loss, a response < 0 are a DataError
     naming the first such row.
-
-    ``leaf_of`` (each row's leaf id) and ``row_loss`` (the per-row loss
-    ``loss._value`` at eta, whose leaf sums are the guard's loss at 0)
-    are passes a caller may already have made; each is computed here
-    when None, with the same leaf values either way.
     """
     y = np.asarray(y, dtype=float)
     w = np.asarray(w, dtype=float)
     if w.ndim == 0:
         w = np.full_like(y, float(w))
+    eta = np.asarray(eta, dtype=float)
     # once per call, so the per-leaf guard runs unchecked
     require_fit_response(y, w, loss, "leaf adjustment")
+    with np.errstate(over="ignore", invalid="ignore"):
+        row_loss = loss._value(link.inverse(eta), y, w)
     return _set_leaf_values(
-        tree, modifiers, x_col, eta, y, w, loss, link, leaf_of, row_loss
+        tree, x_col, eta, y, w, loss, link, tree.assign(modifiers), row_loss
     )
 
 
-def _set_leaf_values(tree, modifiers, x_col, eta, y, w, loss, link, leaf_of,
+def _set_leaf_values(tree, x_col, eta, y, w, loss, link, leaf_of,
                      row_loss) -> RegressionTree:
     """``adjust_leaves`` on y and w (length-n arrays) that its caller has
-    already checked."""
+    already checked, given each row's leaf id ``leaf_of`` and the per-row
+    loss ``row_loss`` at eta, whose leaf sums are the guard's loss at 0."""
     x_col = np.asarray(x_col, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    if leaf_of is None:
-        leaf_of = tree.assign(modifiers)
-    if row_loss is None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            row_loss = loss._value(link.inverse(eta), y, w)
     gaussian = loss.kind == "gaussian_deviance" and link.kind == "identity"
-    for lid in tree.leaf_ids():
+    for lid in tree.leaf_ids().tolist():
         rows = np.flatnonzero(leaf_of == lid)
         rows = rows[x_col[rows] != 0.0]
         if rows.size == 0:
@@ -722,10 +701,12 @@ def fit_gradient_tree(
     record's y and w were checked by the fit's entry point, so the leaf
     step does not check them again."""
     g = np.asarray(x_col, dtype=float) * at_eta.base
+    if assign_out is None:
+        assign_out = np.empty(g.size, dtype=np.int32)
     tree = fit_partition(
         g, modifiers, config, presorted=presorted, assign_out=assign_out
     )
     return _set_leaf_values(
-        tree, modifiers, x_col, at_eta.eta, at_eta.y, at_eta.w, at_eta.loss,
-        at_eta.link, assign_out, at_eta.row_loss,
+        tree, x_col, at_eta.eta, at_eta.y, at_eta.w, at_eta.loss, at_eta.link,
+        assign_out, at_eta.row_loss,
     )

@@ -94,6 +94,13 @@ def partition_sse(g: np.ndarray, leaf_rows: list[np.ndarray]) -> float:
     return float(sum(sse(g[rows]) for rows in leaf_rows))
 
 
+def tree_field_bytes(tree) -> dict[str, bytes]:
+    """Each node field of a package tree as the bytes of a numpy array,
+    so that -0.0, NaN and an int stored where a float belongs all count."""
+    fields = ("feature", "threshold", "left", "right", "value", "count", "gain")
+    return {f: np.asarray(getattr(tree, f)).tobytes() for f in fields}
+
+
 def fitted_leaf_rows(tree, Z: np.ndarray) -> list[np.ndarray]:
     """Row groups of a fitted package tree, ordered by leaf node id."""
     leaf_of = tree.assign(Z)

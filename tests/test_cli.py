@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tvcm import boosting, data, model
-from tvcm.cli import main, write_csv
+from tvcm.cli import _fmt, main, write_csv
 
 
 def run(args):
@@ -598,3 +598,63 @@ def test_write_csv_writes_the_bytes_of_the_csv_module(tmp_path):
         csv.writer(fh).writerows([["a", "b,c", "d"], *rows[:4],
                                   [1.0, 1, 2], []])
     assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_write_csv_writes_numpy_cells_as_the_csv_module_did(tmp_path):
+    # numeric rows of numpy scalars skip the csv module too; the
+    # reference is the csv module fed write_csv's cell text
+    f64, i64 = np.float64, np.int64
+    big = np.iinfo(np.uint64).max
+    rows = [
+        [f64(v) for v in (-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, 1e-7)],
+        [i64(0), i64(-7), np.int32(5), np.uint64(big)],
+        [12, f64(0.25), f64(-1e300)],
+        # each with otherwise numeric cells, which alone take the join
+        [True, f64(2.0)],
+        [np.bool_(True), i64(1)],
+        [np.float32(0.1), 3],
+        ['a "quoted", cell', f64(1.5), i64(3)],
+    ]
+    matrix = np.array([[-0.0, 0.1, 1e-7], [np.nan, 5e-324, 3.0]])
+    ref = tmp_path / "ref.csv"
+    for name, body in (("rows", rows), ("matrix", matrix)):
+        path = tmp_path / f"{name}.csv"
+        write_csv(path, ["a", "b,c", "d"], body)
+        with open(ref, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["a", "b,c", "d"])
+            for row in body:
+                writer.writerow([c if isinstance(c, str) else _fmt(c) for c in row])
+        assert path.read_bytes() == ref.read_bytes(), name
+    text = (tmp_path / "rows.csv").read_text(encoding="utf-8").splitlines()
+    # a bool prints as an int, a numpy bool as a float, a float32 widened
+    assert text[4:7] == ["1,2.0", "1.0,1", "0.10000000149011612,3"]
+    assert text[2] == f"0,-7,5,{big}"
+
+
+# sha256 of rolling_mean.csv as the csv module wrote it for this input
+ROLLING_SHA256 = "6996a34152c92b4a905de88e72cfef226483ceafc1d7bb774105c877685c7df2"
+
+
+def test_evaluate_rolling_writes_the_same_bytes(tmp_path):
+    # each row is an int index plus numpy float cells
+    rng = np.random.default_rng(41)
+    n = 60
+    y = rng.poisson(2.0, n).astype(float)
+    mu = rng.uniform(0.5, 4.0, n)
+    with open(tmp_path / "data.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["y", "w", "x1"])
+        for row in zip(y, rng.uniform(0.1, 1.0, n), rng.standard_normal(n)):
+            writer.writerow([repr(float(v)) for v in row])
+    for name, pred in (("a", mu), ("b", mu * rng.uniform(0.9, 1.1, n))):
+        with open(tmp_path / f"{name}.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["row_id", "mu_hat"])
+            writer.writerows([i, repr(float(v))] for i, v in enumerate(pred))
+    out = tmp_path / "out"
+    assert run(["evaluate", "--data", tmp_path / "data.csv",
+                "--pred", f"A={tmp_path / 'a.csv'}",
+                "--pred", f"B={tmp_path / 'b.csv'}",
+                "--rolling", 7, "--out", out]) == 0
+    assert dir_digests(out)["rolling_mean.csv"] == ROLLING_SHA256

@@ -5,6 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from helpers import tree_field_bytes
 from tvcm import boosting, data, losses, model, tree
 from tvcm.errors import DataError, EtaOverflowError, ModelFormatError
 
@@ -29,7 +30,6 @@ def single_leaf_tree(value, n_features=1):
     t = tree.RegressionTree(n_features)
     nid = t._add_node(1)
     t.value[nid] = value
-    t._freeze()
     return t
 
 
@@ -253,6 +253,13 @@ def fixture_v1_fit():
     return ds, boosting.fit_tvcm(ds, losses.GAUSSIAN, losses.IDENTITY, cfg).model
 
 
+def test_load_rejects_a_tree_with_a_gain_per_node_missing():
+    payload = json.loads(FIXTURE_V1.read_text())
+    payload["dimensions"][0]["trees"][0]["gains"].pop()
+    with pytest.raises(ModelFormatError, match="malformed model document"):
+        model.model_from_dict(payload)
+
+
 def test_v1_fixture_round_trip_and_retrain_are_byte_identical(tmp_path):
     saved = tmp_path / "saved.json"
     clone = model.load_model(FIXTURE_V1)
@@ -308,6 +315,17 @@ def test_poisson_v1_fixture_round_trip_and_retrain_are_byte_identical(tmp_path):
     assert saved.read_bytes() == FIXTURE_POISSON_V1.read_bytes()
     assert np.array_equal(clone.predict_mu(ds.X), retrained.predict_mu(ds.X))
     assert np.array_equal(clone.beta_of(ds.X), retrained.beta_of(ds.X))
+
+
+@pytest.mark.parametrize(
+    "fixture", [FIXTURE_V1, FIXTURE_POISSON_V1], ids=["gaussian", "poisson"]
+)
+def test_v1_fixture_trees_round_trip_field_by_field(fixture):
+    trees = [t for cf in model.load_model(fixture).coef for t in cf.trees]
+    assert trees
+    for t in trees:
+        back = tree.RegressionTree.from_dict(t.to_dict())
+        assert tree_field_bytes(back) == tree_field_bytes(t)
 
 
 @pytest.mark.parametrize(

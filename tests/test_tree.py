@@ -15,6 +15,7 @@ from helpers import (
     partition_sse,
     route_by_regions,
     sse,
+    tree_field_bytes,
     tree_leaf_rows,
 )
 from tvcm import losses
@@ -24,6 +25,7 @@ from tvcm.tree import (
     TreeConfig,
     _newton_gamma,
     adjust_leaves,
+    fit_gradient_tree,
     fit_partition,
     presort_columns,
 )
@@ -258,10 +260,8 @@ def test_bundled_scan_records_the_per_column_trees(partial):
         g = rng.standard_normal(n) + (region == 1) - 0.7 * (brand == 2)
         bundled = fit_partition(g, Z, cfg, presorted=index)
         plain = fit_partition(g, Z, cfg, presorted=per_column)
-        for attr in ("feature", "threshold", "left", "right", "count", "gain"):
-            a, b = getattr(bundled, attr), getattr(plain, attr)
-            assert a.tobytes() == b.tobytes(), attr
-        features.update(bundled.feature.tolist())
+        assert tree_field_bytes(bundled) == tree_field_bytes(plain)
+        features.update(bundled.feature)
     assert features & set(groups[0]) and features & set(groups[1])
 
 
@@ -297,9 +297,7 @@ def test_fit_partition_builds_the_same_index_when_none_is_given():
     cfg = TreeConfig(3, 5)
     given = fit_partition(g, Z, cfg, presorted=index)
     built = fit_partition(g, Z, cfg)
-    for attr in ("feature", "threshold", "left", "right", "count", "gain"):
-        a, b = getattr(given, attr), getattr(built, attr)
-        assert a.tobytes() == b.tobytes(), attr
+    assert tree_field_bytes(given) == tree_field_bytes(built)
     assert given.n_nodes > 3
 
 
@@ -333,14 +331,13 @@ def test_assign_out_matches_routing_across_reused_index(col0, max_depth):
         assert np.array_equal(out, tree.assign(Z))
         leaves = tree.leaf_ids()
         assert np.array_equal(
-            np.bincount(out, minlength=tree.n_nodes)[leaves], tree.count[leaves]
+            np.bincount(out, minlength=tree.n_nodes)[leaves],
+            np.take(tree.count, leaves),
         )
         fresh = fit_partition(g, Z, cfg, presorted=presort_columns(Z))
-        for attr in ("feature", "threshold", "left", "right", "count", "gain"):
-            a, b = getattr(tree, attr), getattr(fresh, attr)
-            assert a.tobytes() == b.tobytes(), attr
+        assert tree_field_bytes(tree) == tree_field_bytes(fresh)
         depth = np.zeros(tree.n_nodes, dtype=int)  # parents precede children
-        for node in np.flatnonzero(tree.feature >= 0):
+        for node in np.flatnonzero(np.asarray(tree.feature) >= 0):
             depth[[tree.left[node], tree.right[node]]] = depth[node] + 1
         depths.add(int(depth.max()))
     assert max(depths) == max_depth  # leaf children at max_depth were built
@@ -375,6 +372,31 @@ def test_route_four_row_example_after_adjust():
         tree, Z, np.ones(4), np.zeros(4), g, np.ones(4), losses.GAUSSIAN, losses.IDENTITY
     )
     np.testing.assert_allclose(tree.predict(np.array([[1.0], [4.0]])), [-1.0, 1.0])
+
+
+def test_from_dict_of_to_dict_is_the_same_tree():
+    rng = np.random.default_rng(23)
+    n = 300
+    Z = np.column_stack([rng.standard_normal(n), rng.integers(0, 4, n)])
+    g = rng.standard_normal(n) + Z[:, 1]
+    fitted = fit_partition(g, Z, TreeConfig(3, 10))
+    adjust_leaves(fitted, Z, rng.standard_normal(n), np.zeros(n),
+                  rng.standard_normal(n), np.ones(n), losses.GAUSSIAN,
+                  losses.IDENTITY)
+    fitted.value[int(fitted.leaf_ids()[0])] = -0.0
+    single = fit_partition(np.ones(4), np.zeros((4, 1)), TreeConfig(1, 1))
+    for tree in (fitted, single):
+        back = RegressionTree.from_dict(tree.to_dict())
+        fields, back_fields = tree_field_bytes(tree), tree_field_bytes(back)
+        # the format keeps a row count for leaves alone
+        leaves = tree.leaf_ids()
+        assert (np.take(back.count, leaves).tolist()
+                == np.take(tree.count, leaves).tolist())
+        del fields["count"], back_fields["count"]
+        assert back_fields == fields
+        again = RegressionTree.from_dict(back.to_dict())
+        assert tree_field_bytes(again) == tree_field_bytes(back)
+        assert again.n_features == tree.n_features
 
 
 def test_route_arity_mismatch():
@@ -433,10 +455,11 @@ def adjusted_trees(draw):
     for lid in tree.leaf_ids().tolist():
         if draw(st.booleans()):
             tree.value[lid] = -0.0
-    internal = np.flatnonzero(tree.feature >= 0)
+    feature = np.asarray(tree.feature)
+    internal = np.flatnonzero(feature >= 0)
     on_threshold = np.repeat(Z[:1], internal.size, axis=0)
-    on_threshold[np.arange(internal.size), tree.feature[internal]] = (
-        tree.threshold[internal]
+    on_threshold[np.arange(internal.size), feature[internal]] = np.take(
+        tree.threshold, internal
     )
     return tree, np.vstack([Z, on_threshold, rng.standard_normal((5, q))])
 
@@ -458,7 +481,7 @@ def test_predict_equals_leaf_values_of_assign_bit_for_bit(case):
         assert leaf.dtype == np.int32
         rows = np.atleast_2d(Q)
         assert leaf.tolist() == [descend_one_row(tree, r) for r in rows]
-        got, expected = tree.predict(Q), tree.value[leaf]
+        got, expected = tree.predict(Q), np.take(tree.value, leaf)
         assert got.dtype == np.float64 and got.shape == (rows.shape[0],)
         # compared as bit patterns, so -0.0 and 0.0 differ
         assert np.array_equal(got.view(np.int64), expected.view(np.int64))
@@ -625,8 +648,8 @@ def test_zero_response_leaf_with_mixed_sign_x_takes_its_minimiser():
 
 @pytest.mark.parametrize("kind", ["gaussian", "poisson"])
 def test_adjust_leaves_given_the_row_loss_sets_the_same_values(kind):
-    # the per-row loss at eta is a pass the caller may already have made;
-    # the leaf values are the same bits with it or without it
+    # the fit loop's leaf step reads the per-row loss its EtaRecord already
+    # holds; adjust_leaves computes it, and every node field is the same
     loss, link = (
         (losses.GAUSSIAN, losses.IDENTITY) if kind == "gaussian"
         else (losses.POISSON, losses.LOG)
@@ -639,13 +662,13 @@ def test_adjust_leaves_given_the_row_loss_sets_the_same_values(kind):
     w = rng.uniform(0.2, 2.0, size=n)
     y = (rng.poisson(w * np.exp(eta)) / w if kind == "poisson"
          else rng.standard_normal(n))
-    g = losses.directional_gradient(loss, link, x, eta, y, w)
-    trees = [fit_partition(g, Z, TreeConfig(3, 10)) for _ in range(2)]
-    adjust_leaves(trees[0], Z, x, eta, y, w, loss, link)
-    adjust_leaves(trees[1], Z, x, eta, y, w, loss, link,
-                  row_loss=loss._value(link.inverse(eta), y, w))
-    assert np.count_nonzero(trees[0].value) >= 4
-    assert trees[0].value.tobytes() == trees[1].value.tobytes()
+    record = losses.EtaRecord(loss, link, eta, y, w)
+    config = TreeConfig(3, 10)
+    fitted = fit_gradient_tree(x, Z, record, config)
+    adjusted = fit_partition(x * record.base, Z, config)
+    adjust_leaves(adjusted, Z, x, eta, y, w, loss, link)
+    assert np.count_nonzero(fitted.value) >= 4
+    assert tree_field_bytes(fitted) == tree_field_bytes(adjusted)
 
 
 def test_root_counts_are_the_histogram_of_every_row():
@@ -668,16 +691,32 @@ def test_tie_free_columns_are_the_presorted_columns_with_distinct_values():
     repeated[9] = repeated[40]
     signed_zero = cont.copy()
     signed_zero[[3, 17]] = [0.0, -0.0]
-    with_nan = cont.copy()
-    with_nan[5] = np.nan
     Z = np.column_stack(
-        [cont, repeated, signed_zero, rng.integers(0, 4, n), with_nan, -cont]
+        [cont, repeated, signed_zero, rng.integers(0, 4, n), -cont]
     ).astype(float)
     index = presort_columns(Z)
-    assert index.shape == (n, 6)
+    assert index.shape == (n, 5)
     assert index.binned.tolist() == [3]
-    assert sorted(index.sorted_slots) == [0, 1, 2, 4, 5]
-    assert index.tie_free == {0, 5}
+    assert sorted(index.sorted_slots) == [0, 1, 2, 4]
+    assert index.tie_free == {0, 4}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_modifier_or_gradient_is_rejected(bad):
+    rng = np.random.default_rng(6)
+    g = rng.standard_normal(50)
+    Z = rng.standard_normal((50, 2))
+    Z[[7, 31], [1, 0]] = bad
+    for build in (lambda: presort_columns(Z),
+                  lambda: fit_partition(g, Z, TreeConfig(2, 5))):
+        with pytest.raises(
+            DomainError, match="non-finite modifier at row 7, column 1"
+        ):
+            build()
+    clean = rng.standard_normal((50, 2))
+    g[[12, 40]] = bad
+    with pytest.raises(DomainError, match="non-finite gradient at row 12"):
+        fit_partition(g, clean, TreeConfig(2, 5), presorted=presort_columns(clean))
 
 
 def test_no_cut_between_tied_values():
@@ -697,7 +736,7 @@ def test_no_cut_between_tied_values():
         assert f in index.sorted_slots and f not in index.tie_free
         for depth, min_leaf in ((1, 1), (3, 1), (2, 4)):
             tree = fit_partition(g, Z, TreeConfig(depth, min_leaf))
-            thr = tree.threshold[tree.feature == f]
+            thr = np.asarray(tree.threshold)[np.asarray(tree.feature) == f]
             assert thr.size and not np.any(thr == 18.0)
             if f == 0:  # the only column: tied rows share a leaf
                 assert np.unique(tree.assign(Z)[z == 18.0]).size == 1
@@ -737,9 +776,7 @@ def test_tie_free_scan_fits_the_trees_of_the_masked_scan(case):
     outs = [np.full(g.size, -1, dtype=np.int32) for _ in range(2)]
     fast = fit_partition(g, Z, config, presorted=index, assign_out=outs[0])
     slow = fit_partition(g, Z, config, presorted=masked, assign_out=outs[1])
-    for attr in ("feature", "threshold", "left", "right", "count", "gain"):
-        a, b = getattr(fast, attr), getattr(slow, attr)
-        assert a.tobytes() == b.tobytes(), attr
+    assert tree_field_bytes(fast) == tree_field_bytes(slow)
     assert outs[0].tobytes() == outs[1].tobytes()
 
 
