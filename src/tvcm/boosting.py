@@ -10,7 +10,8 @@ so it adds exactly kappa_j trees to dimension j. Tuning runs the loop on
 a train half and accepts a candidate only when it lowers the loss on the
 validation half by more than a noise margin (``acceptance_z`` standard
 errors of its first-order loss delta; z = 0 is plain strict decrease).
-Fitted models and tune results are immutable outputs.
+Fitted models and tune results are immutable outputs. A trace is
+written with ``tvcm.data.write_csv``, as every CSV file tvcm writes is.
 
 Most candidates are rejected, so eta stays put for many candidates in a
 row. Whatever depends on eta alone is kept once per eta in a
@@ -23,12 +24,12 @@ validation rows where its dimension's x is non-zero (``tune_kappa``).
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 
 import numpy as np
 
-from .data import Dataset, require_fit_data, split, standardize
+from .data import Dataset, require_fit_data, split, standardize, write_csv
 from .errors import ConfigError, FitError
 from .losses import EtaRecord, check_canonical, intercept_shift
 
@@ -494,17 +495,7 @@ def importance_report(model: TvcmModel, dataset: Dataset | None = None) -> Featu
 
 
 def write_trace_csv(trace: list[TraceRow], path) -> None:
-    """Trace export: one row per (cycle, dimension) candidate."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cycle", "dimension", "train_loss", "valid_loss", "accepted"])
-        for row in trace:
-            writer.writerow(
-                [
-                    row.cycle,
-                    row.dimension,
-                    repr(row.train_loss),
-                    "" if row.valid_loss is None else repr(row.valid_loss),
-                    int(row.accepted),
-                ]
-            )
+    """Trace export: one row per (cycle, dimension) candidate, in the
+    fields' order; a training trace's valid_loss cells are empty."""
+    names = [f.name for f in fields(TraceRow)]
+    write_csv(path, names, map(attrgetter(*names), trace))

@@ -3,8 +3,10 @@
 Commands: simulate | tune | train | predict | evaluate | importance.
 Every command is deterministic given its flags and seeds; rerunning
 writes byte-identical files. All tabular outputs are headered CSV, and
-figures are emitted as tidy CSV data rather than images. Errors go to
-stderr with the prefix ``tvcm: error:`` and a nonzero exit code.
+figures are emitted as tidy CSV data rather than images; ``tvcm.data``
+reads and writes every CSV file. Errors go to stderr with the prefix
+``tvcm: error:`` and exit code 2: a bad cell names its file, row and
+column, and a bad setting names its flag, or its config file and key.
 
 Setting precedence: command-line flags > config file > profile
 defaults. Config files are flat ``key = value`` text; ``#`` starts a
@@ -16,13 +18,15 @@ simulation and claim-frequency setups (tree depth 2, learning rate
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 
 import numpy as np
 
 from . import boosting, data, losses, model as model_mod
+# the commands write every table through this name, which the traced
+# benchmark wraps
+from .data import write_csv
 from .errors import ConfigError, DataError, TvcmError
 from .tree import TreeConfig
 
@@ -84,6 +88,10 @@ def parse_config(path: str) -> dict[str, str]:
     return out
 
 
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+
 class Settings:
     """Flag > config file > profile resolution for one command run."""
 
@@ -96,35 +104,50 @@ class Settings:
         self.profile_name = profile
         self.profile = PROFILES[profile]
 
+    def _flag(self, key: str):
+        return getattr(self.args, key.replace("-", "_").replace(":", "_"), None)
+
     def raw(self, key: str, default=None):
-        flag = getattr(self.args, key.replace("-", "_").replace(":", "_"), None)
+        flag = self._flag(key)
         if flag is not None:
             return flag
-        if key in self.file:
-            return self.file[key]
-        if key in self.profile:
-            return self.profile[key]
-        return default
+        return self.file.get(key, self.profile.get(key, default))
+
+    def get(self, key: str, convert, what: str, default=None):
+        """``convert(raw(key, default))``, or None; a value it rejects
+        is a ConfigError naming the flag or the config file and key."""
+        value = self.raw(key, default)
+        if value is None:
+            return None
+        try:
+            return convert(value)
+        except (KeyError, ValueError):
+            # profile values and defaults always convert
+            where = ("--" + key.replace("_", "-") if self._flag(key) is not None
+                     else f"{self.args.config}: {key}")
+            raise ConfigError(f"{where}: expected {what}, got {value!r}") from None
 
     def get_str(self, key: str, default=None) -> str | None:
         value = self.raw(key, default)
         return None if value in (None, "", "none") else str(value)
 
+    def required(self, *keys: str) -> list[str]:
+        """The values of string settings ``keys``, each of which must be set."""
+        values = [self.get_str(key) for key in keys]
+        if not all(values):
+            flags = " and ".join("--" + key for key in keys)
+            raise ConfigError(f"{self.args.command} requires {flags}")
+        return values
+
     def get_int(self, key: str, default=None) -> int | None:
-        value = self.raw(key, default)
-        return None if value is None else int(value)
+        return self.get(key, int, "an integer", default)
 
     def get_float(self, key: str, default=None) -> float | None:
-        value = self.raw(key, default)
-        return None if value is None else float(value)
+        return self.get(key, float, "a number", default)
 
     def get_bool(self, key: str, default=False) -> bool:
-        value = self.raw(key, None)
-        if value is None:
-            return default
-        if isinstance(value, bool):
-            return value
-        return str(value).strip().lower() in ("1", "true", "yes", "on")
+        return self.get(key, lambda v: _BOOLS[str(v).strip().lower()],
+                        "one of " + ", ".join(_BOOLS), default)
 
     def get_list(self, key: str) -> list[str]:
         value = self.raw(key, "")
@@ -133,12 +156,9 @@ class Settings:
         return [item.strip() for item in str(value).split(",") if item.strip()]
 
     def prefixed(self, prefix: str) -> dict[str, str]:
-        out: dict[str, str] = {}
-        for source in (self.profile, self.file):
-            for key, value in source.items():
-                if key.startswith(prefix):
-                    out[key[len(prefix):]] = value
-        return out
+        """Settings whose key starts with ``prefix``, keyed by the rest."""
+        merged = {**self.profile, **self.file}
+        return {k[len(prefix):]: v for k, v in merged.items() if k.startswith(prefix)}
 
 
 def build_schema(st: Settings, data_path: str) -> data.Schema:
@@ -153,8 +173,8 @@ def build_schema(st: Settings, data_path: str) -> data.Schema:
     if numeric == ["auto"] or not numeric:
         skip = {response, weight, *categorical}
         numeric = [c for c in data.csv_header(data_path) if c not in skip and c]
-    caps = {col: float(v) for col, v in st.prefixed("cap:").items()}
-    floors = {col: float(v) for col, v in st.prefixed("floor:").items()}
+    caps = {col: st.get_float(f"cap:{col}") for col in st.prefixed("cap:")}
+    floors = {col: st.get_float(f"floor:{col}") for col in st.prefixed("floor:")}
     transforms = dict(st.prefixed("transform:"))
     return data.Schema(
         response=response,
@@ -186,50 +206,6 @@ def boost_config(st: Settings, kappa=0) -> boosting.BoostConfig:
             min_samples_leaf=st.get_int("min_samples_leaf", 10),
         ),
     )
-
-
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
-# a row of these cells needs no quoting, so it is written without csv
-_PLAIN_CELL_TYPES = frozenset((float, int))
-# numpy's float64 (a float subclass) and integer scalars need none either
-_NUMBER_CELL_TYPES = _PLAIN_CELL_TYPES | {np.float64} | {
-    np.dtype(c).type for c in np.typecodes["AllInteger"]
-}
-
-
-def write_csv(path: str, header: list[str], rows) -> None:
-    """Headered CSV; ints print as ints and floats in shortest
-    round-trip form, so rereading a cell gives back its exact value.
-    A row of Python floats and ints is joined with ``repr``, and any
-    other row of Python or numpy float64 and integer cells with
-    ``float.__repr__`` and integer text: the bytes the csv module would
-    write. A row with any other cell (a string, a bool, a float32)
-    goes through the csv module, which quotes strings where needed."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        write = fh.write
-        for row in rows:
-            if _PLAIN_CELL_TYPES.issuperset(map(type, row)):
-                write(",".join(map(repr, row)))
-            elif _NUMBER_CELL_TYPES.issuperset(map(type, row)):
-                write(",".join([
-                    float.__repr__(cell) if isinstance(cell, float)
-                    else str(int(cell))
-                    for cell in row
-                ]))
-            else:
-                writer.writerow([
-                    cell if isinstance(cell, str) else _fmt(cell)
-                    for cell in row
-                ])
-                continue
-            write("\r\n")
 
 
 def _rows_of(*cols):
@@ -278,9 +254,7 @@ def cmd_simulate(st: Settings) -> None:
 
 
 def cmd_tune(st: Settings) -> None:
-    path = st.get_str("data")
-    if not path:
-        raise ConfigError("tune requires --data")
+    [path] = st.required("data")
     out = _out_dir(st)
     ds_enc = data.load_csv(path, build_schema(st, path))
     loss, link = loss_link(st)
@@ -312,19 +286,18 @@ def cmd_tune(st: Settings) -> None:
 
 
 def _read_kappa(st: Settings, names: list[str]) -> tuple[int, ...]:
-    spec = st.get_str("kappa")
-    if spec is None:
-        raise ConfigError("train requires --kappa (a tune output file or values)")
+    [spec] = st.required("kappa")
     if os.path.exists(spec):
-        by_name: dict[str, int] = {}
-        with open(spec, newline="", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
-                by_name[row["dimension"]] = int(row["kappa"])
+        cells, _ = data.read_columns(spec, ["dimension", "kappa"])
+        data.require_unique(cells["dimension"], "dimension", spec)
+        kappa = data.int_cells(cells["kappa"], "kappa", spec)
+        by_name = dict(zip(cells["dimension"], kappa))
         missing = [n for n in names if n not in by_name]
         if missing:
             raise ConfigError(f"kappa file {spec} is missing dimensions {missing}")
         return tuple(by_name[n] for n in names)
-    values = [int(v) for v in spec.split(",")]
+    values = st.get("kappa", lambda spec: [int(v) for v in spec.split(",")],
+                    "a kappa file, one count or a comma list of counts")
     if len(values) == 1:
         return tuple(values * len(names))
     if len(values) != len(names):
@@ -335,9 +308,7 @@ def _read_kappa(st: Settings, names: list[str]) -> tuple[int, ...]:
 
 
 def cmd_train(st: Settings) -> None:
-    path = st.get_str("data")
-    if not path:
-        raise ConfigError("train requires --data")
+    [path] = st.required("data")
     out = _out_dir(st)
     loss, link = loss_link(st)
     ds_enc = data.load_csv(path, build_schema(st, path))
@@ -352,9 +323,7 @@ def cmd_train(st: Settings) -> None:
         )
     scores = result.model.scores(ds_enc.X)
     mu = result.model.mu_from_eta(scores.eta)
-    train_loss = float(
-        np.mean(result.model.loss.value(mu, ds_enc.y, ds_enc.w))
-    )
+    train_loss = float(np.mean(loss.value(mu, ds_enc.y, ds_enc.w)))
     if st.get_bool("emit_beta", False):
         write_csv(
             os.path.join(out, "train_beta.csv"),
@@ -395,10 +364,7 @@ def _frame_for_model(st: Settings, mdl, path: str):
 
 
 def cmd_predict(st: Settings) -> None:
-    model_path = st.get_str("model")
-    path = st.get_str("data")
-    if not model_path or not path:
-        raise ConfigError("predict requires --model and --data")
+    model_path, path = st.required("model", "data")
     out = _out_dir(st)
     mdl = model_mod.load_model(model_path)
     X, w, n = _frame_for_model(st, mdl, path)
@@ -421,16 +387,12 @@ def cmd_predict(st: Settings) -> None:
 
 
 def _load_predictions(path: str, n_expected: int) -> np.ndarray:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "mu_hat" not in reader.fieldnames:
-            raise DataError(f"{path}: predictions need a mu_hat column")
-        values = [float(row["mu_hat"]) for row in reader]
-    if len(values) != n_expected:
-        raise DataError(
-            f"{path}: {len(values)} prediction rows for {n_expected} data rows"
-        )
-    return np.asarray(values)
+    cells, n = data.read_columns(path, ["mu_hat"])
+    if n != n_expected:
+        raise DataError(f"{path}: {n} prediction rows for {n_expected} data rows")
+    mu = data.float_cells(cells["mu_hat"], "mu_hat", path)
+    data.require_finite(mu, ["mu_hat"], path)
+    return mu
 
 
 def _baseline_models(st: Settings, train_path: str, loss, link):
@@ -445,9 +407,7 @@ def _baseline_models(st: Settings, train_path: str, loss, link):
 
 
 def cmd_evaluate(st: Settings) -> None:
-    path = st.get_str("data")
-    if not path:
-        raise ConfigError("evaluate requires --data")
+    [path] = st.required("data")
     preds = getattr(st.args, "pred", None) or []
     out = _out_dir(st)
     loss, link = loss_link(st)
@@ -486,22 +446,13 @@ def cmd_evaluate(st: Settings) -> None:
         cols = [("y", roll(ds.y * ds.w) / roll_w)]
         cols += [(name, roll(mu)) for name, mu in named]
         dest = os.path.join(out, "rolling_mean.csv")
-        write_csv(
-            dest,
-            ["index", *[c[0] for c in cols]],
-            (
-                [i, *[c[1][i] for c in cols]]
-                for i in range(len(cols[0][1]))
-            ),
-        )
+        write_csv(dest, ["index", *[c[0] for c in cols]],
+                  _rows_of(np.arange(len(cols[0][1])), *[c[1] for c in cols]))
         print(f"evaluate: rolling-mean comparison written to {dest}")
 
 
 def cmd_importance(st: Settings) -> None:
-    model_path = st.get_str("model")
-    path = st.get_str("data")
-    if not model_path or not path:
-        raise ConfigError("importance requires --model and --data")
+    model_path, path = st.required("model", "data")
     out = _out_dir(st)
     mdl = model_mod.load_model(model_path)
     X, _, _ = _frame_for_model(st, mdl, path)
@@ -516,17 +467,12 @@ def cmd_importance(st: Settings) -> None:
         note = "" if kappa[j] > 0 else "no_trees"
         gain_rows.append([label, *report.split_gain[j], int(kappa[j]), note])
     dest_gain = os.path.join(out, "importance_split_gain.csv")
-    write_csv(
-        dest_gain,
-        ["dimension", *report.col_labels, "kappa", "note"],
-        gain_rows,
-    )
+    write_csv(dest_gain, ["dimension", *report.col_labels, "kappa", "note"], gain_rows)
     if st.get_bool("aggregate_rows", False):
         labels, mapping = mdl.space.group_index(mdl.space.feature_names)
         raw_gains = boosting.feature_importance(mdl, normalize=False).split_gain
         grouped = np.zeros((len(labels), raw_gains.shape[1]))
-        for j in range(mdl.p):
-            grouped[mapping[j]] += raw_gains[j]
+        np.add.at(grouped, mapping, raw_gains)  # row by row, in row order
         sums = grouped.sum(axis=1)
         nz = sums > 0
         grouped[nz] /= sums[nz, None]
@@ -620,15 +566,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        st = Settings(args)
-        args.func(st)
-    except TvcmError as exc:
-        print(f"tvcm: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        args.func(Settings(args))
+    except (TvcmError, OSError) as exc:
         print(f"tvcm: error: {exc}", file=sys.stderr)
         return 2
     return 0

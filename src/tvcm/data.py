@@ -1,4 +1,10 @@
-"""Dataset container, simulation generator, CSV ingestion, encoding, splits.
+"""Dataset container, simulation generator, the CSV format, encoding, splits.
+
+Every CSV file tvcm reads goes through ``read_columns`` (``csv_header``
+reads the header alone), which skips a UTF-8 byte-order mark and rejects
+a header that names a column twice; its cells convert through one
+routine that names the file, row and column of the first bad cell.
+Every CSV file tvcm writes goes through ``write_csv``.
 
 One routine, ``onehot_fill``, writes categorical levels into 0/1 feature
 columns, with the levels taken from the data in training (``onehot_encode``)
@@ -12,6 +18,7 @@ datasets bit for bit.
 from __future__ import annotations
 
 import csv
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -174,16 +181,11 @@ class Schema:
         """
         if col in self.ordinal:
             levels = self.ordinal[col]
-            code = {lv: float(levels.index(lv) + 1) for lv in levels}
-            for r, text in enumerate(cells):
-                if text not in code:
-                    raise DataError(
-                        f"{path}: unknown ordinal level {text!r} at row {r}, "
-                        f"column {col!r} (declared: {', '.join(levels)})"
-                    )
-            v = np.asarray([code[text] for text in cells], dtype=float)
+            code = {lv: float(k + 1) for k, lv in enumerate(levels)}
+            what = f"unknown ordinal level (declared: {', '.join(levels)})"
+            v = np.asarray(_cell_values(code.__getitem__, what, cells, col, path))
         else:
-            v = _floats(cells, col, path)
+            v = float_cells(cells, col, path)
         require_finite(v, [col], path)
         if col in self.floors:
             v = np.maximum(v, self.floors[col])
@@ -202,7 +204,7 @@ class Schema:
         """Weights from the text cells of the weight column: capped as
         declared, then required finite and positive."""
         col = self.weight
-        w = _floats(cells, col, path)
+        w = float_cells(cells, col, path)
         if col in self.caps:
             w = np.minimum(w, self.caps[col])
         require_finite(w, [col], path)
@@ -210,21 +212,34 @@ class Schema:
         return w
 
 
-def _floats(cells: list[str], col: str, path) -> np.ndarray:
+def float_cells(cells: list[str], col: str, path) -> np.ndarray:
+    """Floats of the text cells of column ``col`` of file ``path``."""
+    return np.asarray(
+        _cell_values(float, "unparsable numeric value", cells, col, path), dtype=float
+    )
+
+
+def int_cells(cells: list[str], col: str, path) -> list[int]:
+    """Integers of the text cells of column ``col`` of file ``path``."""
+    return _cell_values(int, "unparsable integer value", cells, col, path)
+
+
+def _cell_values(convert, what: str, cells: list[str], col: str, where) -> list:
+    """``convert`` of every cell of column ``col``; the first cell it
+    rejects (ValueError or KeyError) is a DataError naming its row."""
     try:
-        return np.asarray(list(map(float, cells)), dtype=float)
-    except ValueError:
+        return list(map(convert, cells))
+    except (KeyError, ValueError):
         pass  # the loop below names the cell that failed
     values = []
     for r, text in enumerate(cells):
         try:
-            values.append(float(text))
-        except ValueError:
+            values.append(convert(text))
+        except (KeyError, ValueError):
             raise DataError(
-                f"{path}: unparsable numeric value {text!r} at row {r}, "
-                f"column {col!r}"
+                f"{where}: {what} {text!r} at row {r}, column {col!r}"
             ) from None
-    return np.asarray(values, dtype=float)
+    return values
 
 
 def require_all(ok: np.ndarray, what: str, col: str, where) -> None:
@@ -243,6 +258,15 @@ def require_finite(M, names, where: str) -> None:
     if not ok.all():
         r, c = divmod(int(np.flatnonzero(~ok)[0]), ok.shape[1])
         raise DataError(f"{where}: non-finite value at row {r}, column {names[c]!r}")
+
+
+def require_unique(items, what: str, where) -> None:
+    """DataError naming the first item that is listed twice."""
+    seen = set()
+    for item in items:
+        if item in seen:
+            raise DataError(f"{where}: {what} {item!r} listed twice")
+        seen.add(item)
 
 
 def require_fit_response(y, w, loss, where: str) -> None:
@@ -264,26 +288,32 @@ def require_fit_data(ds: Dataset, loss, where: str = "training data") -> None:
     require_fit_response(ds.y, ds.w, loss, where)
 
 
-def csv_header(path) -> list[str]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh), None)
-    if header is None:
-        raise DataError(f"{path}: empty file")
-    return header
-
-
-def read_columns(path, names) -> tuple[dict[str, list[str]], int]:
-    """Text cells of the named columns of a comma-separated, headered,
-    UTF-8 file, and the number of data rows.
-
-    Every row must have as many fields as the header. Reported row
-    numbers are 0-based data rows (the header is not counted).
-    """
-    with open(path, newline="", encoding="utf-8") as fh:
+@contextmanager
+def _csv_rows(path):
+    """The checked header of a CSV file and a reader over its rows."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise DataError(f"{path}: empty file")
+        require_unique(header, "column", path)
+        yield header, reader
+
+
+def csv_header(path) -> list[str]:
+    """Column names of a CSV file, checked as ``read_columns`` checks them."""
+    with _csv_rows(path) as (header, _):
+        return header
+
+
+def read_columns(path, names) -> tuple[dict[str, list[str]], int]:
+    """Text cells of the named columns of a CSV file, and the number of
+    data rows.
+
+    Every row must have as many fields as the header. Reported row
+    numbers are 0-based data rows (the header is not counted).
+    """
+    with _csv_rows(path) as (header, reader):
         for col in names:
             if col not in header:
                 raise DataError(f"{path}: missing column {col!r}")
@@ -294,6 +324,53 @@ def read_columns(path, names) -> tuple[dict[str, list[str]], int]:
                             f"expected {len(header)}")
     pos = {col: header.index(col) for col in names}
     return {col: [rec[i] for rec in rows] for col, i in pos.items()}, len(rows)
+
+
+def _fmt(value) -> str:
+    if value is None:  # an empty cell, as the csv module writes it
+        return ""
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return repr(float(value))
+
+
+# a row of these cells needs no quoting, so it is written without csv
+_PLAIN_CELL_TYPES = frozenset((float, int))
+# numpy's float64 (a float subclass) and integer scalars need none either
+_NUMBER_CELL_TYPES = _PLAIN_CELL_TYPES | {np.float64} | {
+    np.dtype(c).type for c in np.typecodes["AllInteger"]
+}
+
+
+def write_csv(path: str, header: list[str], rows) -> None:
+    """Headered CSV; ints print as ints and floats in shortest
+    round-trip form, so rereading a cell gives back its exact value.
+    A row of Python floats and ints is joined with ``repr``, and any
+    other row of Python or numpy float64 and integer cells with
+    ``float.__repr__`` and integer text: the bytes the csv module would
+    write. A row with any other cell (a string, a bool, None, a
+    float32) goes through the csv module, which quotes strings where
+    needed; None is an empty cell."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        write = fh.write
+        for row in rows:
+            if _PLAIN_CELL_TYPES.issuperset(map(type, row)):
+                write(",".join(map(repr, row)))
+            elif _NUMBER_CELL_TYPES.issuperset(map(type, row)):
+                write(",".join([
+                    float.__repr__(cell) if isinstance(cell, float)
+                    else str(int(cell))
+                    for cell in row
+                ]))
+            else:
+                writer.writerow([
+                    cell if isinstance(cell, str) else _fmt(cell)
+                    for cell in row
+                ])
+                continue
+            write("\r\n")
 
 
 def load_csv(path, schema: Schema) -> Dataset:
@@ -309,7 +386,7 @@ def load_csv(path, schema: Schema) -> Dataset:
     cells, n = read_columns(path, names)
     if n == 0:
         raise DataError(f"{path}: no data rows")
-    y = _floats(cells[schema.response], schema.response, path)
+    y = float_cells(cells[schema.response], schema.response, path)
     require_finite(y, [schema.response], path)
     if schema.response_kind == "count":
         require_all(y >= 0, "negative count", schema.response, path)
@@ -329,13 +406,7 @@ def onehot_fill(X: np.ndarray, col: str, cells, level_column: dict, where) -> No
     """Set ``X[r, level_column[cells[r]]] = 1`` for every row r of
     categorical column ``col``; a level missing from ``level_column`` is
     a DataError naming the row, the column and the level."""
-    try:
-        pos = list(map(level_column.__getitem__, cells))
-    except KeyError:
-        r = next(r for r, text in enumerate(cells) if text not in level_column)
-        raise DataError(
-            f"{where}: unseen level {cells[r]!r} at row {r}, column {col!r}"
-        ) from None
+    pos = _cell_values(level_column.__getitem__, "unseen level", cells, col, where)
     X[np.arange(len(pos)), pos] = 1.0
 
 

@@ -53,17 +53,11 @@ class IdentityLink:
     def inverse(self, eta):
         return np.asarray(eta, dtype=float)
 
-    def inverse_deriv(self, eta):
-        return np.ones_like(np.asarray(eta, dtype=float))
-
 
 class LogLink:
     kind = "log"
 
     def inverse(self, eta):
-        return np.exp(np.asarray(eta, dtype=float))
-
-    def inverse_deriv(self, eta):
         return np.exp(np.asarray(eta, dtype=float))
 
 
@@ -207,7 +201,8 @@ class EtaRecord:
     computed on first use and then kept.
 
     - ``mu``: the mean, ``link.inverse(eta)``;
-    - ``score``: dL/deta per row, unchecked;
+    - ``score``: dL/deta per row, unchecked: dL/dmu times dmu/deta,
+      which is 1 under the identity link and mu under the log link;
     - ``base``: the same array once a log-link eta has passed
       ``check_eta``; the gradient along coefficient direction j is
       ``x_j * base`` (``directional_gradient``);
@@ -233,7 +228,7 @@ class EtaRecord:
     @cached_property
     def score(self):
         deriv = self.loss._deriv(self.mu, self.y, self.w)
-        return deriv * self.link.inverse_deriv(self.eta)
+        return deriv if self.link.kind == "identity" else deriv * self.mu
 
     @cached_property
     def base(self):

@@ -10,7 +10,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tvcm import boosting, data, model
-from tvcm.cli import _fmt, main, write_csv
+from tvcm.cli import main, write_csv
+from tvcm.data import _fmt
 
 
 def run(args):
@@ -72,6 +73,19 @@ def test_pipeline_outputs_exist(pipeline):
         "importance_fi_star.csv",
     ):
         assert (pipeline / name).exists(), name
+
+
+# sha256 of the trace files of the pipeline run, as the csv module
+# wrote them
+TRACE_SHA256 = {
+    "tune_trace.csv": "10152c5599d2105b7ca7bb4bb31a6d46f30b5a514d710b033b80f6c5f96c7efe",
+    "train_trace.csv": "fcb98387f26c5c23192307a3dbcb205953712d1d1fe99925a907d0e3352e0e59",
+}
+
+
+def test_trace_files_keep_their_bytes(pipeline):
+    digests = dir_digests(pipeline)
+    assert {name: digests[name] for name in TRACE_SHA256} == TRACE_SHA256
 
 
 def test_simulate_shapes_and_determinism(tmp_path):
@@ -348,6 +362,87 @@ def test_predict_rejects_bad_cell_with_coordinates(pipeline, tmp_path, capsys,
     assert f"{message} at row 2, column {column!r}" in err
 
 
+def set_cell(r, c, text):
+    """Edit of a CSV's rows (the header is row 0) setting one cell."""
+    def edit(rows):
+        rows[r][c] = text
+    return edit
+
+
+def add_field(r):
+    def edit(rows):
+        rows[r].append("7")
+    return edit
+
+
+# name: (pipeline file copied to bad.csv, its edit or None, config file
+# text, extra flags, command, what the error line must name)
+MALFORMED = {
+    "kappa_cell": ("kappa.csv", set_cell(3, 1, "abc"), "", [], "train",
+                   ["bad.csv", "'abc' at row 2, column 'kappa'"]),
+    "kappa_column": ("kappa.csv", set_cell(0, 1, "k"), "", [], "train",
+                     ["bad.csv", "missing column 'kappa'"]),
+    "kappa_repeat": ("kappa.csv", set_cell(4, 0, "x2"), "", [], "train",
+                     ["bad.csv", "dimension 'x2' listed twice"]),
+    "pred_field": ("predictions.csv", add_field(2), "", [], "evaluate",
+                   ["bad.csv", "row 1 has"]),
+    "pred_text": ("predictions.csv", set_cell(2, 1, "oops"), "", [], "evaluate",
+                  ["bad.csv", "'oops' at row 1, column 'mu_hat'"]),
+    "pred_nan": ("predictions.csv", set_cell(2, 1, "nan"), "", [], "evaluate",
+                 ["bad.csv", "non-finite value at row 1, column 'mu_hat'"]),
+    "header_repeat": ("sim_train.csv", set_cell(0, 3, "x1"), "", [], "train",
+                      ["bad.csv", "column 'x1' listed twice"]),
+    "config_int": ("kappa.csv", None, "max_depth = two\n", [], "train",
+                   ["c.cfg: max_depth", "'two'"]),
+    "config_float": ("kappa.csv", None, "cap:x1 = big\n", [], "train",
+                     ["c.cfg: cap:x1", "'big'"]),
+    "config_bool": ("kappa.csv", None, "response_per_weight = maybe\n", [],
+                    "train", ["c.cfg: response_per_weight", "'maybe'"]),
+    "flag_kappa": ("kappa.csv", None, "", ["--kappa", "x"], "train",
+                   ["--kappa", "'x'"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_is_a_located_error(pipeline, tmp_path, capsys, case):
+    name, edit, config, flags, command, located = MALFORMED[case]
+    bad = tmp_path / "bad.csv"
+    with open(pipeline / name, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if edit is not None:
+        edit(rows)
+    with open(bad, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    files = {"kappa.csv": pipeline / "sim_train.csv", "sim_train.csv": bad,
+             "predictions.csv": pipeline / "sim_test.csv"}
+    args = [command, "--data", files[name], "--out", tmp_path / "out"]
+    if command == "train":
+        args += ["--kappa", bad if name == "kappa.csv" else pipeline / "kappa.csv"]
+    else:
+        args += ["--pred", f"M={bad}"]
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(config)
+    code = run(args + ["--config", cfg] + flags)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    [line] = err.splitlines()
+    assert line.startswith("tvcm: error: ")
+    for text in located:
+        assert text in line
+
+
+def test_a_byte_order_mark_is_skipped(pipeline, tmp_path):
+    plain = (pipeline / "sim_train.csv").read_bytes()[:20000].rsplit(b"\n", 1)[0]
+    digests = []
+    for name, body in (("plain", plain), ("bom", b"\xef\xbb\xbf" + plain)):
+        (tmp_path / f"{name}.csv").write_bytes(body + b"\n")
+        assert run(["train", "--data", tmp_path / f"{name}.csv", "--kappa", 2,
+                    "--out", tmp_path / name]) == 0
+        digests.append(dir_digests(tmp_path / name)["model.json"])
+    assert digests[0] == digests[1]
+
+
 def write_region_claims(path, n=400, seed=3):
     rng = np.random.default_rng(seed)
     with open(path, "w", newline="") as fh:
@@ -587,7 +682,7 @@ def test_write_csv_writes_the_bytes_of_the_csv_module(tmp_path):
         [-0.0, 0.0, float("nan"), float("inf"), -float("inf")],
         [1e-7, 1e16, 1e20, 0.1, -2.5e-300],
         [0, -7, 2**63, -(10**30), 12345678901234567890],
-        [3, 1.5, 'a "quoted", cell', "plain", -0.0],
+        [3, 1.5, 'a "quoted", cell', "plain", -0.0, None],
         [1.0, True, 2],
         [],
     ]

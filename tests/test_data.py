@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -267,3 +269,16 @@ def test_log_transform_declared(tmp_path):
                   [[1, 1, 3.0, 1.0, "x"], [1, 1, cell, 2.0, "x"]])
         with pytest.raises(DataError, match="row 1, column 'a'"):
             data.load_csv(path, toy_schema(transforms={"a": transform}))
+
+
+def test_only_the_data_module_imports_csv():
+    # tvcm.data owns the CSV format: every other module reads and writes
+    # CSV files through it
+    importers = []
+    for path in sorted(pathlib.Path(data.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if any(n is not None and n.split(".")[0] == "csv" for n in names):
+                importers.append(path.stem)
+    assert sorted(set(importers)) == ["data"]
