@@ -29,7 +29,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .data import Dataset, require_fit_data, split, standardize, write_csv
+from .data import Dataset, OneHotMap, require_fit_data, split, standardize, write_csv
 from .errors import ConfigError, FitError
 from .losses import EtaRecord, check_canonical, intercept_shift
 
@@ -185,6 +185,7 @@ class _CycleState:
         self.trees: list[list] = [[] for _ in range(ds.p)]
         self._assign_buf = np.empty(ds.n, dtype=np.int32)
         self._at_eta: EtaRecord | None = None
+        onehot = OneHotMap(ds.x_names, ds.onehot_groups)
         subsets: dict[tuple, tuple] = {}
         self._modifiers: list[np.ndarray] = []
         self._presorted: list[SplitIndex] = []
@@ -194,9 +195,9 @@ class _CycleState:
                 # column-major: the split scan gathers whole columns
                 sub = np.asfortranarray(ds.X[:, idx])
                 # each one-hot group's members in this subset, by position
-                local = {ds.x_names[f]: i for i, f in enumerate(key)}
-                sub_groups = [[local[m] for m in members if m in local]
-                              for members in ds.onehot_groups.values()]
+                local = {f: i for i, f in enumerate(key)}
+                sub_groups = [[local[f] for f in members.values() if f in local]
+                              for members in onehot.members.values()]
                 subsets[key] = (
                     sub, presort_columns(sub, [g for g in sub_groups if g])
                 )
@@ -432,31 +433,38 @@ def fit_tvcm(
 # -- feature importance ---------------------------------------------------------
 
 
-def feature_importance(model: TvcmModel, normalize: bool = True) -> FeatureImportance:
+def split_gain_shares(model: TvcmModel, rows, n_rows: int) -> np.ndarray:
+    """Split gains by row and column group (``onehot.labels``): dimension
+    j's total squared-error reduction from splits on each group, summed
+    into row ``rows[j]``; each row with a positive sum is then divided
+    by it."""
+    onehot = model.space.onehot
+    M = np.zeros((model.p, len(onehot.labels)))
+    for j, cf in enumerate(model.coef):
+        label_of = onehot.label_of[model.space.modifier_sets[j]]
+        for tree in cf.trees:
+            for local_f, gain in tree.split_gains().items():
+                M[j, label_of[local_f]] += gain
+    shares = np.zeros((n_rows, M.shape[1]))
+    np.add.at(shares, rows, M)  # row by row, in row order
+    sums = shares.sum(axis=1)
+    nz = sums > 0
+    shares[nz] /= sums[nz, None]
+    return shares
+
+
+def feature_importance(model: TvcmModel) -> FeatureImportance:
     """Split-gain importance matrix, rows normalized to sum to one.
 
     Entry (j, k): total squared-error reduction from splits on modifier
     k inside dimension j's trees, with one-hot member columns summed
     into their group before normalization. Rows of dimensions with no
-    trees (or no splits) stay all-zero. ``normalize=False`` returns the
-    raw per-row gain totals instead.
+    trees (or no splits) stay all-zero.
     """
-    space = model.space
-    col_labels, mapping = space.group_index(space.feature_names)
-    M = np.zeros((model.p, len(col_labels)))
-    for j, cf in enumerate(model.coef):
-        idx = space.modifier_sets[j]
-        for tree in cf.trees:
-            for local_f, gain in tree.split_gains().items():
-                M[j, mapping[idx[local_f]]] += gain
-    if normalize:
-        sums = M.sum(axis=1)
-        nz = sums > 0
-        M[nz] /= sums[nz, None]
     return FeatureImportance(
-        split_gain=M,
-        row_labels=list(space.feature_names),
-        col_labels=col_labels,
+        split_gain=split_gain_shares(model, np.arange(model.p), model.p),
+        row_labels=list(model.space.feature_names),
+        col_labels=list(model.space.onehot.labels),
     )
 
 
@@ -469,10 +477,7 @@ def fi_star(model: TvcmModel, dataset: Dataset) -> FiStar:
     """
     beta = model.beta_of(dataset.X)
     raw = np.mean(np.abs(beta), axis=0)
-    excluded = model.space.onehot_member_dims()
-    included = np.asarray(
-        [j not in excluded for j in range(model.p)], dtype=bool
-    )
+    included = ~model.space.onehot.grouped
     values = np.full(model.p, np.nan)
     total = float(raw[included].sum())
     if total > 0:

@@ -162,7 +162,7 @@ class Settings:
 
 
 def build_schema(st: Settings, data_path: str) -> data.Schema:
-    response = st.get_str("response", "y")
+    response = st.get_str("response")
     weight = st.get_str("weight")
     categorical = st.get_list("categorical")
     numeric = st.get_list("numeric")
@@ -191,19 +191,19 @@ def build_schema(st: Settings, data_path: str) -> data.Schema:
 
 
 def loss_link(st: Settings):
-    loss = losses.get_loss(st.get_str("loss", "gaussian_deviance"))
-    link = losses.get_link(st.get_str("link", "identity"))
+    loss = losses.get_loss(st.get_str("loss"))
+    link = losses.get_link(st.get_str("link"))
     losses.check_canonical(loss, link)
     return loss, link
 
 
 def boost_config(st: Settings, kappa=0) -> boosting.BoostConfig:
     return boosting.BoostConfig(
-        epsilon=st.get_float("epsilon", 0.01),
+        epsilon=st.get_float("epsilon"),
         kappa=kappa,
         tree=TreeConfig(
-            max_depth=st.get_int("max_depth", 2),
-            min_samples_leaf=st.get_int("min_samples_leaf", 10),
+            max_depth=st.get_int("max_depth"),
+            min_samples_leaf=st.get_int("min_samples_leaf"),
         ),
     )
 
@@ -258,12 +258,12 @@ def cmd_tune(st: Settings) -> None:
     out = _out_dir(st)
     ds_enc = data.load_csv(path, build_schema(st, path))
     loss, link = loss_link(st)
-    config = boost_config(st, kappa=st.get_int("max_kappa", 1500))
+    config = boost_config(st, kappa=st.get_int("max_kappa"))
     stopping = boosting.StoppingConfig(
-        validation_fraction=st.get_float("validation_fraction", 0.5),
-        patience=st.get_int("patience", 20),
+        validation_fraction=st.get_float("validation_fraction"),
+        patience=st.get_int("patience"),
         seed=st.get_int("seed", 0),
-        acceptance_z=st.get_float("acceptance_z", 0.0),
+        acceptance_z=st.get_float("acceptance_z"),
     )
     print(
         f"tune: profile={st.profile_name} max_depth={config.tree.max_depth} "
@@ -348,8 +348,9 @@ def _frame_for_model(st: Settings, mdl, path: str):
     the model's member columns."""
     schema = build_schema(st, path)
     space = mdl.space
-    numeric, groups = data.feature_columns(space.feature_names, space.onehot_groups)
-    wanted = [*numeric, *groups]
+    numeric = {name: j for j, name in enumerate(space.feature_names)
+               if not space.onehot.grouped[j]}
+    wanted = [*numeric, *space.onehot.members]
     weight = schema.weight if schema.weight in data.csv_header(path) else None
     if weight:
         wanted.append(weight)
@@ -357,7 +358,7 @@ def _frame_for_model(st: Settings, mdl, path: str):
     X = np.zeros((n, space.p))
     for col, j in numeric.items():
         X[:, j] = schema.numeric_values(col, cells[col], path)
-    for base, level_column in groups.items():
+    for base, level_column in space.onehot.members.items():
         data.onehot_fill(X, base, cells[base], level_column, path)
     w = schema.weight_values(cells[weight], path) if weight else np.ones(n)
     return X, w, n
@@ -386,12 +387,15 @@ def cmd_predict(st: Settings) -> None:
     print(f"predict: wrote {n} rows to {dest}")
 
 
-def _load_predictions(path: str, n_expected: int) -> np.ndarray:
+def _load_predictions(path: str, n_expected: int, loss) -> np.ndarray:
     cells, n = data.read_columns(path, ["mu_hat"])
     if n != n_expected:
         raise DataError(f"{path}: {n} prediction rows for {n_expected} data rows")
     mu = data.float_cells(cells["mu_hat"], "mu_hat", path)
     data.require_finite(mu, ["mu_hat"], path)
+    if loss.kind == "poisson_deviance":
+        data.require_all(mu > 0, "non-positive mean under the Poisson loss",
+                         "mu_hat", path)
     return mu
 
 
@@ -412,12 +416,16 @@ def cmd_evaluate(st: Settings) -> None:
     out = _out_dir(st)
     loss, link = loss_link(st)
     ds = data.load_csv(path, build_schema(st, path))
+    window = st.get_int("rolling")
+    if window is not None and not 1 <= window <= ds.n:
+        raise ConfigError(f"--rolling must be a window of 1 to {ds.n} rows, "
+                          f"got {window}")
     named: list[tuple[str, np.ndarray]] = []
     for item in preds:
         name, _, ppath = item.partition("=")
         if not ppath:
             raise ConfigError(f"--pred wants NAME=path, got {item!r}")
-        named.append((name, _load_predictions(ppath, ds.n)))
+        named.append((name, _load_predictions(ppath, ds.n, loss)))
     baseline_path = st.get_str("fit_baselines")
     if baseline_path:
         null_model, glm_model = _baseline_models(st, baseline_path, loss, link)
@@ -436,8 +444,7 @@ def cmd_evaluate(st: Settings) -> None:
     write_csv(dest, header, rows)
     for row in rows:
         print(f"evaluate: {row[0]} avg_loss={row[1]:.6f}")
-    window = st.get_int("rolling")
-    if window:
+    if window is not None:
         order = np.argsort(named[0][1], kind="stable")
         kernel = np.ones(window) / window
         def roll(v):
@@ -469,17 +476,12 @@ def cmd_importance(st: Settings) -> None:
     dest_gain = os.path.join(out, "importance_split_gain.csv")
     write_csv(dest_gain, ["dimension", *report.col_labels, "kappa", "note"], gain_rows)
     if st.get_bool("aggregate_rows", False):
-        labels, mapping = mdl.space.group_index(mdl.space.feature_names)
-        raw_gains = boosting.feature_importance(mdl, normalize=False).split_gain
-        grouped = np.zeros((len(labels), raw_gains.shape[1]))
-        np.add.at(grouped, mapping, raw_gains)  # row by row, in row order
-        sums = grouped.sum(axis=1)
-        nz = sums > 0
-        grouped[nz] /= sums[nz, None]
+        onehot = mdl.space.onehot
+        grouped = boosting.split_gain_shares(mdl, onehot.label_of, len(onehot.labels))
         write_csv(
             os.path.join(out, "importance_split_gain_grouped.csv"),
             ["dimension", *report.col_labels],
-            ([labels[i], *grouped[i]] for i in range(len(labels))),
+            ([label, *row] for label, row in zip(onehot.labels, grouped)),
         )
     star_rows = []
     for j, label in enumerate(stars.labels):

@@ -6,9 +6,10 @@ a header that names a column twice; its cells convert through one
 routine that names the file, row and column of the first bad cell.
 Every CSV file tvcm writes goes through ``write_csv``.
 
-One routine, ``onehot_fill``, writes categorical levels into 0/1 feature
-columns, with the levels taken from the data in training (``onehot_encode``)
-and from a model's one-hot groups in scoring (``feature_columns``).
+One routine, ``OneHotMap``, turns one-hot groups into the positions of
+their level columns and into group labels, and checks their names. One
+routine, ``onehot_fill``, writes categorical levels into those 0/1
+columns, in training (``onehot_encode``) and in scoring.
 
 Random draws use numpy's PCG64 generator; normal variates come from its
 ziggurat-based ``standard_normal``, so identical seeds reproduce
@@ -26,6 +27,9 @@ import numpy as np
 from .errors import ConfigError, DataError
 
 SIM_DIM = 8
+# corr(X2, X8) of the simulated features, and the sd of the response noise
+SIM_CORR_X2_X8 = 0.5
+SIM_NOISE_SD = 1.0
 
 
 @dataclass
@@ -75,8 +79,6 @@ class Dataset:
 class SimulationSpec:
     n: int
     seed: int
-    corr_x2_x8: float = 0.5
-    noise_sd: float = 1.0
 
     def __post_init__(self):
         if self.n < 1:
@@ -118,16 +120,16 @@ def simulate(spec: SimulationSpec) -> tuple[Dataset, np.ndarray]:
     """Simulated Gaussian dataset plus the true mean vector.
 
     Features are standard normal with independent components except
-    corr(X2, X8) = corr_x2_x8, realized through a two-column factor that
-    keeps X8's variance at one. The response is mu(x) plus
-    N(0, noise_sd^2) noise.
+    corr(X2, X8) = SIM_CORR_X2_X8, realized through a two-column factor
+    that keeps X8's variance at one. The response is mu(x) plus
+    N(0, SIM_NOISE_SD^2) noise.
     """
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     X = rng.standard_normal((spec.n, SIM_DIM))
-    rho = spec.corr_x2_x8
+    rho = SIM_CORR_X2_X8
     X[:, 7] = rho * X[:, 1] + np.sqrt(1.0 - rho * rho) * X[:, 7]
     mu = true_mu(X)
-    y = mu + spec.noise_sd * rng.standard_normal(spec.n)
+    y = mu + SIM_NOISE_SD * rng.standard_normal(spec.n)
     names = [f"x{j}" for j in range(1, SIM_DIM + 1)]
     ds = Dataset(y=y, w=np.ones(spec.n), X=X, x_names=names)
     return ds, mu
@@ -290,14 +292,26 @@ def require_fit_data(ds: Dataset, loss, where: str = "training data") -> None:
 
 @contextmanager
 def _csv_rows(path):
-    """The checked header of a CSV file and a reader over its rows."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty file")
-        require_unique(header, "column", path)
-        yield header, reader
+    """The checked header of a CSV file and a reader over its rows; a
+    file that is not UTF-8 is a DataError naming its first bad line."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: empty file")
+            require_unique(header, "column", path)
+            yield header, reader
+    except UnicodeDecodeError:
+        # raised at a chunk read, whose offset does not give the line;
+        # UTF-8 never splits a character at a newline
+        with open(path, "rb") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError:
+                    raise DataError(f"{path}: line {lineno} is not UTF-8 text") from None
+        raise
 
 
 def csv_header(path) -> list[str]:
@@ -410,46 +424,65 @@ def onehot_fill(X: np.ndarray, col: str, cells, level_column: dict, where) -> No
     X[np.arange(len(pos)), pos] = 1.0
 
 
+class OneHotMap:
+    """The one-hot groups of feature columns ``names``, by position.
+
+    ``onehot_groups`` lists each categorical column's member columns
+    ``column=level`` (a level may contain "="). ``members[base]`` maps
+    each level of group ``base`` to its column's position, in the
+    group's order; ``labels`` holds the group labels (a member's group,
+    any other column's own name) in first-seen order over the columns,
+    and ``label_of[j]`` is column j's index into them; ``grouped[j]`` is
+    True for member columns. A group or member name that disagrees with
+    ``names`` is an ``error`` naming it.
+    """
+
+    def __init__(self, names, onehot_groups, error=DataError):
+        pos = {name: j for j, name in enumerate(names)}
+        label, grouped, members = list(names), np.zeros(len(names), dtype=bool), {}
+        for base, group in onehot_groups.items():
+            if base in pos:
+                raise error(f"one-hot group {base!r} is also a feature column")
+            members[base] = {}
+            for m in group:
+                j = pos.get(m)
+                if j is not None and (grouped[j] or names.count(m) > 1):
+                    raise error(f"one-hot column {m!r} of group {base!r} is listed "
+                                "twice or shares its name with another column")
+                if j is None or not m.startswith(base + "="):
+                    raise error(f"one-hot column {m!r} of group {base!r} is not a "
+                                f"feature column named {base}=<level>")
+                grouped[j], label[j] = True, base
+                members[base][m[len(base) + 1:]] = j
+        index: dict[str, int] = {}
+        label_of = [index.setdefault(lb, len(index)) for lb in label]
+        self.members, self.labels, self.grouped = members, list(index), grouped
+        self.label_of = np.asarray(label_of, dtype=np.int64)
+
+
 def onehot_encode(ds: Dataset, categorical=None) -> Dataset:
     """Append 0/1 columns to X for ``categorical``, which maps column
     names to one level string per row.
 
     Each column's sorted levels become its member columns ``column=level``
     (no reference level is dropped), appended in column-name order and
-    recorded in the group map. Without categorical columns ``ds`` is
-    returned unchanged.
+    recorded in the group map. A member or group name that is also
+    another column is a DataError naming it. Without categorical columns
+    ``ds`` is returned unchanged.
     """
     if not categorical:
         return ds
     names = list(ds.x_names)
     groups = {k: list(v) for k, v in ds.onehot_groups.items()}
-    level_columns = {}
     for col in sorted(categorical):
-        levels = sorted(set(categorical[col]))
-        level_columns[col] = {lv: len(names) + k for k, lv in enumerate(levels)}
-        groups[col] = [f"{col}={lv}" for lv in levels]
+        groups[col] = [f"{col}={lv}" for lv in sorted(set(categorical[col]))]
         names.extend(groups[col])
+    members = OneHotMap(names, groups).members
     X = np.zeros((ds.n, len(names)))
     X[:, :ds.p] = ds.X
-    for col, level_column in level_columns.items():
-        onehot_fill(X, col, categorical[col], level_column, "onehot_encode")
+    for col, cells in categorical.items():
+        onehot_fill(X, col, cells, members[col], "onehot_encode")
     return Dataset(y=ds.y, w=ds.w, X=X, x_names=names, onehot_groups=groups)
-
-
-def feature_columns(names, onehot_groups) -> tuple[dict, dict]:
-    """Positions in feature columns ``names`` of each numeric column and,
-    per one-hot group, of each member keyed by its level: the rest of
-    its name ``column=level`` (a level may contain "=")."""
-    base_of = {m: base for base, members in onehot_groups.items() for m in members}
-    numeric: dict[str, int] = {}
-    groups: dict[str, dict[str, int]] = {}
-    for j, name in enumerate(names):
-        base = base_of.get(name)
-        if base is None:
-            numeric[name] = j
-        else:
-            groups.setdefault(base, {})[name[len(base) + 1:]] = j
-    return numeric, groups
 
 
 def split_indices(n: int, frac: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -498,14 +531,11 @@ class Standardizer:
 
 def standardize(ds: Dataset) -> tuple[Dataset, Standardizer]:
     """Center/scale the continuous columns of X to mean 0, sd 1."""
-    members = {m for group in ds.onehot_groups.values() for m in group}
+    grouped = OneHotMap(ds.x_names, ds.onehot_groups).grouped
     mean = ds.X.mean(axis=0)
     sd = ds.X.std(axis=0)
-    for k, name in enumerate(ds.x_names):
-        if name in members:
-            mean[k] = 0.0
-            sd[k] = 1.0
-        elif sd[k] == 0.0:
-            sd[k] = 1.0
+    sd[sd == 0.0] = 1.0
+    mean[grouped] = 0.0
+    sd[grouped] = 1.0
     scaler = Standardizer(x_mean=mean, x_sd=sd)
     return replace(ds, X=scaler.apply_x(ds.X)), scaler

@@ -20,8 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import Dataset, Standardizer, require_finite, require_fit_data
-from .errors import DataError, FitError, ModelFormatError
+from .data import Dataset, OneHotMap, Standardizer, require_finite, require_fit_data
+from .errors import ConfigError, DataError, FitError, ModelFormatError
 from .losses import check_canonical, check_eta, get_link, get_loss, loss_total
 from .tree import RegressionTree
 
@@ -56,7 +56,8 @@ class FeatureSpace:
     """Feature metadata shared by training and prediction.
 
     ``modifier_sets[j]`` holds the indices (into ``feature_names``) of
-    the columns coefficient function j may split on.
+    the columns coefficient function j may split on. ``onehot`` is the
+    ``OneHotMap`` of ``onehot_groups``, which must agree with the names.
     """
 
     feature_names: list[str]
@@ -64,35 +65,13 @@ class FeatureSpace:
     onehot_groups: dict[str, list[str]]
     scaler: Standardizer
 
+    def __post_init__(self):
+        self.onehot = OneHotMap(self.feature_names, self.onehot_groups,
+                                ModelFormatError)
+
     @property
     def p(self) -> int:
         return len(self.feature_names)
-
-    def group_label(self, name: str) -> str:
-        """The categorical column a one-hot member column was expanded
-        from; any other column is its own group."""
-        for base, members in self.onehot_groups.items():
-            if name in members:
-                return base
-        return name
-
-    def group_index(self, names) -> tuple[list[str], np.ndarray]:
-        """Distinct group labels of ``names`` in first-seen order, and
-        the position of each name's label in that list."""
-        labels: list[str] = []
-        pos: dict[str, int] = {}
-        mapping = np.zeros(len(names), dtype=np.int64)
-        for i, name in enumerate(names):
-            label = self.group_label(name)
-            if label not in pos:
-                pos[label] = len(labels)
-                labels.append(label)
-            mapping[i] = pos[label]
-        return labels, mapping
-
-    def onehot_member_dims(self) -> set[int]:
-        return {j for j, n in enumerate(self.feature_names)
-                if self.group_label(n) != n}
 
 
 def modifier_columns(X: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -182,21 +161,14 @@ class TvcmModel:
         """Coefficient vector(s) beta(x) for raw feature rows."""
         return self.scores(X).beta
 
-    def delta_of(self, X) -> np.ndarray:
-        """Tree-sum correction(s) to the GLM coefficients, no GLM term."""
-        return self.scores(X).delta
-
-    def linear_predictor(self, X, Z=None) -> np.ndarray:
+    def predict_mu(self, X, Z=None) -> np.ndarray:
+        """Mean prediction for raw feature rows; expected response is w*mu
+        under the Poisson profile."""
         # ``Z`` is read only by bench/, which still passes the feature
         # matrix a second time; a benchmark-only change deletes it.
         if Z is not None and Z is not X:
             raise DataError("Z must be omitted or be the feature matrix X itself")
-        return self.scores(X).eta
-
-    def predict_mu(self, X, Z=None) -> np.ndarray:
-        """Mean prediction for raw feature rows; expected response is w*mu
-        under the Poisson profile. ``Z``: see ``linear_predictor``."""
-        return self.mu_from_eta(self.linear_predictor(X, Z))
+        return self.mu_from_eta(self.scores(X).eta)
 
 
 # -- GLM fitting (IRLS) -------------------------------------------------------
@@ -322,8 +294,12 @@ def model_from_dict(payload: dict) -> TvcmModel:
             f"this build reads version {MODEL_FORMAT_VERSION}"
         )
     try:
-        loss = get_loss(payload["loss"])
-        link = get_link(payload["link"])
+        try:
+            loss = get_loss(payload["loss"])
+            link = get_link(payload["link"])
+            check_canonical(loss, link)
+        except ConfigError as exc:
+            raise ModelFormatError(str(exc)) from None
         feature_names = list(payload["feature_names"])
         if list(payload["modifier_names"]) != feature_names:
             raise ModelFormatError(
@@ -355,7 +331,7 @@ def model_from_dict(payload: dict) -> TvcmModel:
             for d in payload["dimensions"]
         ]
         beta0 = float(payload["beta0"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"malformed model document: {exc!r}") from exc
     if len(coef) != len(feature_names) or len(modifier_sets) != len(feature_names):
         raise ModelFormatError("dimension count disagrees with feature_names")

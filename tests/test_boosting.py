@@ -182,7 +182,7 @@ def test_cached_eta_matches_recomputation():
         std, glm, cfg, losses.GAUSSIAN, losses.IDENTITY, scaler
     )
     eta_cached_loss = trace[-1].train_loss
-    eta_recomputed = mdl.linear_predictor(ds.X)
+    eta_recomputed = mdl.scores(ds.X).eta
     # the final trace loss was computed before intercept recalibration;
     # undo the recorded recalibration shift for comparison
     recomputed_loss = losses.loss_total(

@@ -375,6 +375,18 @@ def add_field(r):
     return edit
 
 
+def poisson_means(r, text):
+    """Edit of a predictions file setting every mu_hat to 1.0 but that
+    of data row r, which it sets to ``text``."""
+    def edit(rows):
+        for row in rows[1:]:
+            row[1] = "1.0"
+        rows[r + 1][1] = text
+    return edit
+
+
+POISSON_CFG = "loss = poisson_deviance\nlink = log\n"
+
 # name: (pipeline file copied to bad.csv, its edit or None, config file
 # text, extra flags, command, what the error line must name)
 MALFORMED = {
@@ -400,6 +412,13 @@ MALFORMED = {
                     "train", ["c.cfg: response_per_weight", "'maybe'"]),
     "flag_kappa": ("kappa.csv", None, "", ["--kappa", "x"], "train",
                    ["--kappa", "'x'"]),
+    # a Latin-1 byte, written through surrogateescape
+    "not_utf8": ("sim_train.csv", set_cell(3, 2, "caf\udce9"), "", [], "train",
+                 ["bad.csv", "line 4 is not UTF-8"]),
+    "pred_negative": ("predictions.csv", poisson_means(3, "-1.0"), POISSON_CFG, [],
+                      "evaluate", ["bad.csv", "at row 3, column 'mu_hat'"]),
+    "pred_zero": ("predictions.csv", poisson_means(3, "0.0"), POISSON_CFG, [],
+                  "evaluate", ["bad.csv", "at row 3, column 'mu_hat'"]),
 }
 
 
@@ -411,7 +430,8 @@ def test_malformed_input_is_a_located_error(pipeline, tmp_path, capsys, case):
         rows = list(csv.reader(fh))
     if edit is not None:
         edit(rows)
-    with open(bad, "w", newline="") as fh:
+    with open(bad, "w", newline="", encoding="utf-8",
+              errors="surrogateescape") as fh:
         csv.writer(fh).writerows(rows)
     files = {"kappa.csv": pipeline / "sim_train.csv", "sim_train.csv": bad,
              "predictions.csv": pipeline / "sim_test.csv"}
@@ -430,6 +450,38 @@ def test_malformed_input_is_a_located_error(pipeline, tmp_path, capsys, case):
     assert line.startswith("tvcm: error: ")
     for text in located:
         assert text in line
+
+
+@pytest.fixture(scope="module")
+def sim300(tmp_path_factory):
+    root = tmp_path_factory.mktemp("sim300")
+    assert run(["simulate", "--n", 300, "--seed", 8, "--out", root]) == 0
+    return root / "sim_data.csv"
+
+
+def evaluate_rolling(path, window, out):
+    return run(["evaluate", "--data", path, "--fit-baselines", path,
+                "--rolling", window, "--out", out])
+
+
+@pytest.mark.parametrize("window", [-3, 0])
+def test_evaluate_rejects_a_rolling_window_below_one(sim300, tmp_path, capsys,
+                                                     window):
+    assert evaluate_rolling(sim300, window, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("tvcm: error: --rolling ") and f"got {window}" in err
+    assert "Traceback" not in err
+
+
+def test_evaluate_rejects_a_rolling_window_longer_than_the_data(sim300, tmp_path,
+                                                                capsys):
+    assert evaluate_rolling(sim300, 1000, tmp_path / "long") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("tvcm: error: --rolling ") and "got 1000" in err
+    assert not (tmp_path / "long" / "rolling_mean.csv").exists()
+    # a window of every row gives one mean
+    assert evaluate_rolling(sim300, 300, tmp_path / "all") == 0
+    assert len(read_rows(tmp_path / "all" / "rolling_mean.csv")) == 1
 
 
 def test_a_byte_order_mark_is_skipped(pipeline, tmp_path):
@@ -474,14 +526,20 @@ def test_importance_aggregate_rows(tmp_path):
     with open(out / "importance_split_gain_grouped.csv", newline="") as fh:
         header, *body = list(csv.reader(fh))
     mdl = model.load_model(out / "model.json")
-    raw = boosting.feature_importance(mdl, normalize=False)
-    assert raw.row_labels == ["age", "region=north", "region=south", "region=west"]
+    assert mdl.space.feature_names == ["age", "region=north", "region=south",
+                                       "region=west"]
+    # raw gain totals per dimension (row) and column group: age, region
+    raw = np.zeros((4, 2))
+    for j, cf in enumerate(mdl.coef):
+        for t in cf.trees:
+            for f, gain in t.split_gains().items():
+                raw[j, min(f, 1)] += gain
     assert header == ["dimension", "age", "region"]
     assert [r[0] for r in body] == ["age", "region"]
     # one row per original column: member rows' raw gains are summed,
     # then the row is normalized to one
     for label, rows in (("age", [0]), ("region", [1, 2, 3])):
-        expected = raw.split_gain[rows].sum(axis=0)
+        expected = raw[rows].sum(axis=0)
         assert expected.sum() > 0
         got = [float(v) for v in body[[r[0] for r in body].index(label)][1:]]
         np.testing.assert_allclose(got, expected / expected.sum(), rtol=1e-12)
@@ -649,7 +707,7 @@ def test_v1_fixture_scoring_outputs_equal_the_model_bit_for_bit(fixture, tmp_pat
     beta_cols = [header.index(f"beta_hat_{n}") for n in names]
     assert np.array_equal(got[:, beta_cols], mdl.beta_of(X))
     delta_cols = [header.index(f"delta_{n}") for n in names]
-    assert np.array_equal(got[:, delta_cols], mdl.delta_of(X))
+    assert np.array_equal(got[:, delta_cols], mdl.scores(X).delta)
     ds = data.Dataset(y=np.zeros(len(X)), w=np.ones(len(X)), X=X, x_names=list(names))
     fi = [float(r["mean_abs_beta"]) for r in read_rows(out / "importance_fi_star.csv")]
     assert np.array_equal(np.asarray(fi), boosting.fi_star(mdl, ds).raw)

@@ -1,6 +1,7 @@
 import ast
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -189,16 +190,60 @@ def test_onehot_encode_levels_and_groups():
 
 def test_onehot_fill_sets_level_columns_and_names_unseen_level():
     # scoring's map: levels from a model's member names, which may hold "="
-    numeric, groups = data.feature_columns(
-        ["a", "k=v=x", "k=v=y"], {"k=v": ["k=v=x", "k=v=y"]}
-    )
-    assert numeric == {"a": 0} and groups == {"k=v": {"x": 1, "y": 2}}
+    onehot = data.OneHotMap(["a", "k=v=x", "k=v=y"], {"k=v": ["k=v=x", "k=v=y"]})
+    groups = onehot.members
+    assert groups == {"k=v": {"x": 1, "y": 2}}
     X = np.zeros((2, 3))
     data.onehot_fill(X, "k=v", ["y", "x"], groups["k=v"], "s.csv")
     np.testing.assert_array_equal(X, [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
     with pytest.raises(DataError) as err:
         data.onehot_fill(X, "k=v", ["y", "z"], groups["k=v"], "s.csv")
     assert str(err.value) == "s.csv: unseen level 'z' at row 1, column 'k=v'"
+
+
+def test_onehot_map_positions_and_labels():
+    names = ["a", "k=y", "b", "k=x", "j=1"]
+    m = data.OneHotMap(names, {"k": ["k=y", "k=x"], "j": ["j=1"]})
+    # member positions in each group's own order, the groups in theirs
+    assert list(m.members) == ["k", "j"]
+    assert list(m.members["k"].items()) == [("y", 1), ("x", 3)]
+    assert m.members["j"] == {"1": 4}
+    # labels in first-seen order over the columns
+    assert m.labels == ["a", "k", "b", "j"]
+    assert m.label_of.tolist() == [0, 1, 2, 1, 3]
+    assert m.grouped.tolist() == [False, True, False, True, True]
+
+
+# name: (numeric columns, categorical levels per row, the column the error names)
+NAME_COLLISIONS = {
+    "member_is_numeric": (["r=a"], {"r": ["a", "b", "a", "b"]}, "'r=a'"),
+    "group_is_numeric": (["r"], {"r": ["a", "b", "a", "b"]}, "'r'"),
+    "two_groups_one_member": (
+        ["z"], {"a": ["b=c", "d", "b=c", "d"], "a=b": ["c"] * 4}, "'a=b=c'"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAME_COLLISIONS))
+def test_onehot_encode_rejects_a_name_collision(case):
+    numeric, categorical, column = NAME_COLLISIONS[case]
+    ds = data.Dataset(y=np.ones(4), w=np.ones(4), X=np.arange(4.0)[:, None],
+                      x_names=numeric)
+    with pytest.raises(DataError, match=re.escape(column)):
+        data.onehot_encode(ds, categorical)
+
+
+def test_load_csv_rejects_a_numeric_column_named_like_a_member(tmp_path):
+    # the numeric column would otherwise be taken for a one-hot column
+    # and left unstandardized
+    path = tmp_path / "r.csv"
+    rng = np.random.default_rng(2)
+    write_csv(path, ["y", "w", "r=a", "r"],
+              [[1.0, 1.0, 5.0 + 3.0 * rng.standard_normal(), "ab"[i % 2]]
+               for i in range(20)])
+    schema = toy_schema(numeric=("r=a",), categorical=("r",))
+    with pytest.raises(DataError, match=r"one-hot column 'r=a' of group 'r'"):
+        data.load_csv(path, schema)
 
 
 def test_split_sizes_and_determinism():

@@ -1,6 +1,7 @@
 import json
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -76,7 +77,7 @@ def test_beta_of_zero_trees_is_glm():
     X = ds.X[:50]
     beta = res.model.beta_of(X)
     np.testing.assert_allclose(beta, np.tile(res.glm.beta, (50, 1)), atol=1e-14)
-    np.testing.assert_array_equal(res.model.delta_of(X), np.zeros((50, 8)))
+    np.testing.assert_array_equal(res.model.scores(X).delta, np.zeros((50, 8)))
 
 
 def test_beta_of_hand_composed_tree():
@@ -93,7 +94,7 @@ def test_beta_minus_glm_equals_delta():
     res = gaussian_fit(ds, kappa=15)
     X = ds.X[:200]
     lhs = res.model.beta_of(X) - res.model.beta_glm[None, :]
-    np.testing.assert_allclose(lhs, res.model.delta_of(X), atol=1e-15)
+    np.testing.assert_allclose(lhs, res.model.scores(X).delta, atol=1e-15)
 
 
 def test_log_link_multiplicative_decomposition():
@@ -112,7 +113,7 @@ def test_log_link_multiplicative_decomposition():
     mu = mdl.predict_mu(Xq)
     X_std = mdl.space.scaler.apply_x(Xq)
     glm_mu = np.exp(mdl.beta0 + X_std @ mdl.beta_glm)
-    corr = np.exp(np.sum(mdl.delta_of(Xq) * X_std, axis=1))
+    corr = np.exp(np.sum(mdl.scores(Xq).delta * X_std, axis=1))
     np.testing.assert_allclose(mu, glm_mu * corr, rtol=1e-10)
 
 
@@ -152,7 +153,7 @@ def test_zero_tree_reduction_invariant():
 def test_recalibrate_fixed_point_and_shift_invariance():
     ds, _ = data.simulate(data.SimulationSpec(n=3000, seed=10))
     mdl = gaussian_fit(ds, kappa=10).model
-    rest = mdl.linear_predictor(ds.X) - mdl.beta0
+    rest = mdl.scores(ds.X).eta - mdl.beta0
     # a trained model's intercept is already the stationary one
     beta0 = losses.intercept_shift(mdl.loss, mdl.link, rest, ds.y, ds.w)
     assert beta0 == pytest.approx(mdl.beta0, abs=1e-10)
@@ -328,9 +329,17 @@ def test_v1_fixture_trees_round_trip_field_by_field(fixture):
         assert tree_field_bytes(back) == tree_field_bytes(t)
 
 
-@pytest.mark.parametrize(
-    "entry", ["predict_mu", "linear_predictor", "beta_of", "delta_of"]
-)
+# each prediction output, keyed by the name of the entry point that
+# once returned it alone
+PREDICTION_OUTPUTS = {
+    "predict_mu": lambda mdl, X: mdl.predict_mu(X),
+    "linear_predictor": lambda mdl, X: mdl.scores(X).eta,
+    "beta_of": lambda mdl, X: mdl.beta_of(X),
+    "delta_of": lambda mdl, X: mdl.scores(X).delta,
+}
+
+
+@pytest.mark.parametrize("entry", list(PREDICTION_OUTPUTS))
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_prediction_rejects_non_finite_feature_with_coordinates(entry, bad):
     mdl = model.load_model(FIXTURE_V1)
@@ -338,9 +347,9 @@ def test_prediction_rejects_non_finite_feature_with_coordinates(entry, bad):
     X[5, 2] = bad
     X[6, 0] = bad
     with pytest.raises(DataError, match=r"non-finite value at row 5, column 'x3'"):
-        getattr(mdl, entry)(X)
+        PREDICTION_OUTPUTS[entry](mdl, X)
     with pytest.raises(DataError, match=r"row 0, column 'x3'"):
-        getattr(mdl, entry)(X[5])
+        PREDICTION_OUTPUTS[entry](mdl, X[5])
 
 
 @pytest.mark.parametrize(
@@ -355,6 +364,36 @@ def test_load_rejects_modifier_names_other_than_features(modifier_names):
         model.model_from_dict(payload)
 
 
+R = ["Region=R1", "Region=R2", "Region=R3"]
+
+
+@pytest.mark.parametrize(
+    "groups, message",
+    [
+        ({"Region": [*R[:2], "Region=R9"]}, "'Region=R9' of group 'Region' is not"),
+        ({"Region": [*R, "Region=R1"]}, "'Region=R1' of group 'Region' is listed twice"),
+        ({"Region": R, "Reg": ["Region=R3"]}, "'Region=R3' of group 'Reg' is listed twice"),
+        ({"Region": R, "Diesel": []}, "group 'Diesel' is also a feature column"),
+        ({"Region": R[:2], "Area": R[2:]}, "'Region=R3' of group 'Area' is not a feature column named Area=<level>"),
+        ([R], "malformed model document"),
+    ],
+    ids=["not_a_feature", "twice_in_a_group", "in_two_groups", "group_is_a_feature",
+         "named_after_another_group", "not_a_mapping"],
+)
+def test_load_rejects_onehot_groups_that_disagree_with_feature_names(groups, message):
+    payload = json.loads(FIXTURE_POISSON_V1.read_text())
+    payload["onehot_groups"] = groups
+    with pytest.raises(ModelFormatError, match=re.escape(message)):
+        model.model_from_dict(payload)
+
+
+def test_load_rejects_a_non_canonical_loss_link_pair():
+    payload = json.loads(FIXTURE_V1.read_text())
+    payload["link"] = "log"
+    with pytest.raises(ModelFormatError, match=r"unsupported loss/link pairing"):
+        model.model_from_dict(payload)
+
+
 def test_predict_rejects_a_separate_modifier_matrix():
     mdl = model.load_model(FIXTURE_V1)
     X = np.zeros((3, 8))
@@ -362,7 +401,7 @@ def test_predict_rejects_a_separate_modifier_matrix():
     with pytest.raises(DataError, match="Z must"):
         mdl.predict_mu(X, X.copy())
     with pytest.raises(DataError, match="Z must"):
-        mdl.linear_predictor(X, np.ones((3, 8)))
+        mdl.predict_mu(X, np.ones((3, 8)))
 
 
 def test_predict_overflow_names_row():
