@@ -174,10 +174,9 @@ class _CycleState:
     """
 
     def __init__(self, ds: Dataset, glm: GlmCoefficients, config: BoostConfig,
-                 loss, link, modifier_sets):
+                 loss, modifier_sets):
         self.ds = ds
         self.loss = loss
-        self.link = link
         self.config = config
         self.eps = config.epsilon_vector(ds.p)
         self.x_cols = [np.ascontiguousarray(ds.X[:, j]) for j in range(ds.p)]
@@ -207,9 +206,7 @@ class _CycleState:
 
     def _record(self) -> EtaRecord:
         if self._at_eta is None:
-            self._at_eta = EtaRecord(
-                self.loss, self.link, self.eta, self.ds.y, self.ds.w
-            )
+            self._at_eta = EtaRecord(self.loss, self.eta, self.ds.y, self.ds.w)
         return self._at_eta
 
     def fit_candidate(self, j: int):
@@ -294,7 +291,6 @@ def train(
     glm: GlmCoefficients,
     config: BoostConfig,
     loss,
-    link,
     scaler,
 ) -> tuple[TvcmModel, list[TraceRow]]:
     """Cyclic training at fixed per-dimension tree counts.
@@ -305,15 +301,12 @@ def train(
     model plus the per-(cycle, dimension) training-loss trace. Bad
     training data is a DataError, as in ``fit_tvcm``.
     """
-    check_canonical(loss, link)
     require_fit_data(dataset, loss)
     kappa = config.kappa_vector(dataset.p)
     modifier_sets = _resolve_modifier_sets(config, dataset)
-    state = _CycleState(dataset, glm, config, loss, link, modifier_sets)
+    state = _CycleState(dataset, glm, config, loss, modifier_sets)
     trace = _run_cycles(state, kappa, lambda j, tree: (True, None))
-    beta0 = intercept_shift(
-        loss, link, state.eta - glm.beta0, dataset.y, dataset.w
-    )
+    beta0 = intercept_shift(loss, state.eta - glm.beta0, dataset.y, dataset.w)
     coef = [
         CoefficientFunction(
             beta_glm=float(glm.beta[j]),
@@ -322,7 +315,7 @@ def train(
         )
         for j in range(dataset.p)
     ]
-    model = TvcmModel(beta0, coef, loss, link, _build_space(dataset, scaler, modifier_sets))
+    model = TvcmModel(beta0, coef, loss, _build_space(dataset, scaler, modifier_sets))
     return model, trace
 
 
@@ -331,7 +324,6 @@ def tune_kappa(
     config: BoostConfig,
     stopping: StoppingConfig,
     loss,
-    link,
 ) -> TuneResult:
     """Dimension-wise early stopping on a train/validation split.
 
@@ -346,7 +338,6 @@ def tune_kappa(
     rejected candidates leave no footprint. Bad data is a DataError
     naming its row of ``dataset``, as in ``fit_tvcm``.
     """
-    check_canonical(loss, link)
     require_fit_data(dataset, loss)
     kappa_max = config.kappa_vector(dataset.p)
     modifier_sets = _resolve_modifier_sets(config, dataset)
@@ -356,8 +347,8 @@ def tune_kappa(
         raise ConfigError(
             f"degenerate train/validation split ({ds_tr.n}/{ds_va.n} rows)"
         )
-    glm = fit_glm(ds_tr, loss, link)
-    state = _CycleState(ds_tr, glm, config, loss, link, modifier_sets)
+    glm = fit_glm(ds_tr, loss)
+    state = _CycleState(ds_tr, glm, config, loss, modifier_sets)
 
     va_modifiers = [modifier_columns(ds_va.X, idx) for idx in modifier_sets]
     va_xcols = [np.ascontiguousarray(ds_va.X[:, j]) for j in range(ds_va.p)]
@@ -366,8 +357,7 @@ def tune_kappa(
     for x in va_xcols:
         rows = np.flatnonzero(x)
         va_rows.append(slice(None) if rows.size == ds_va.n else rows)
-    at_va = EtaRecord(loss, link, glm_linear_predictor(glm, ds_va.X),
-                      ds_va.y, ds_va.w)
+    at_va = EtaRecord(loss, glm_linear_predictor(glm, ds_va.X), ds_va.y, ds_va.w)
 
     def validate(j, tree):
         nonlocal at_va
@@ -410,23 +400,25 @@ def fit_tvcm(
 ) -> FitResult:
     """End-to-end fit on an encoded (one-hot, unstandardized) dataset.
 
-    Standardizes with training statistics, fits the GLM initialization,
-    optionally tunes per-dimension tree counts by early stopping, then
-    trains on the full data at the tuned counts. A NaN or an infinity
-    in X, y or w, a weight <= 0 and, under the Poisson loss, a response
-    < 0 are each a DataError naming the first such row and its column.
+    ``link`` must be ``loss.link``, or it is a ConfigError; it is a
+    parameter only because bench/ still passes it. Standardizes with
+    training statistics, fits the GLM initialization, optionally tunes
+    per-dimension tree counts by early stopping, then trains on the full
+    data at the tuned counts. A NaN or an infinity in X, y or w, a weight
+    <= 0 and, under the Poisson loss, a response < 0 are each a DataError
+    naming the first such row and its column.
     """
     check_canonical(loss, link)
     # before standardizing, so a NaN is reported at its own row
     require_fit_data(dataset, loss)
     ds_std, scaler = standardize(dataset)
-    glm = fit_glm(ds_std, loss, link)
+    glm = fit_glm(ds_std, loss)
     cfg = config
     tune = None
     if stopping is not None:
-        tune = tune_kappa(ds_std, cfg, stopping, loss, link)
+        tune = tune_kappa(ds_std, cfg, stopping, loss)
         cfg = replace(cfg, kappa=tuple(int(k) for k in tune.kappa))
-    model, trace = train(ds_std, glm, cfg, loss, link, scaler)
+    model, trace = train(ds_std, glm, cfg, loss, scaler)
     return FitResult(model=model, glm=glm, tune=tune, train_trace=trace)
 
 

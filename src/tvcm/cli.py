@@ -33,7 +33,6 @@ from .tree import TreeConfig
 PROFILES = {
     "sim": {
         "loss": "gaussian_deviance",
-        "link": "identity",
         "max_depth": "2",
         "min_samples_leaf": "10",
         "epsilon": "0.01",
@@ -48,7 +47,6 @@ PROFILES = {
     },
     "real": {
         "loss": "poisson_deviance",
-        "link": "log",
         "max_depth": "2",
         "min_samples_leaf": "20",
         "epsilon": "0.01",
@@ -190,11 +188,13 @@ def build_schema(st: Settings, data_path: str) -> data.Schema:
     )
 
 
-def loss_link(st: Settings):
+def loss_of(st: Settings):
+    """The configured loss; a config file may name its link, which must
+    be the loss's own."""
     loss = losses.get_loss(st.get_str("loss"))
-    link = losses.get_link(st.get_str("link"))
-    losses.check_canonical(loss, link)
-    return loss, link
+    if (link := st.get_str("link")) is not None:
+        losses.check_canonical(loss, losses.get_link(link))
+    return loss
 
 
 def boost_config(st: Settings, kappa=0) -> boosting.BoostConfig:
@@ -257,7 +257,7 @@ def cmd_tune(st: Settings) -> None:
     [path] = st.required("data")
     out = _out_dir(st)
     ds_enc = data.load_csv(path, build_schema(st, path))
-    loss, link = loss_link(st)
+    loss = loss_of(st)
     config = boost_config(st, kappa=st.get_int("max_kappa"))
     stopping = boosting.StoppingConfig(
         validation_fraction=st.get_float("validation_fraction"),
@@ -274,7 +274,7 @@ def cmd_tune(st: Settings) -> None:
         f"acceptance_z={stopping.acceptance_z} seed={stopping.seed}"
     )
     ds_std, _ = data.standardize(ds_enc)
-    result = boosting.tune_kappa(ds_std, config, stopping, loss, link)
+    result = boosting.tune_kappa(ds_std, config, stopping, loss)
     write_csv(
         os.path.join(out, "kappa.csv"),
         ["dimension", "kappa"],
@@ -310,11 +310,11 @@ def _read_kappa(st: Settings, names: list[str]) -> tuple[int, ...]:
 def cmd_train(st: Settings) -> None:
     [path] = st.required("data")
     out = _out_dir(st)
-    loss, link = loss_link(st)
+    loss = loss_of(st)
     ds_enc = data.load_csv(path, build_schema(st, path))
     kappa = _read_kappa(st, ds_enc.x_names)
     config = boost_config(st, kappa=kappa)
-    result = boosting.fit_tvcm(ds_enc, loss, link, config, stopping=None)
+    result = boosting.fit_tvcm(ds_enc, loss, loss.link, config, stopping=None)
     model_path = os.path.join(out, "model.json")
     model_mod.save_model(result.model, model_path)
     if result.train_trace:
@@ -399,14 +399,14 @@ def _load_predictions(path: str, n_expected: int, loss) -> np.ndarray:
     return mu
 
 
-def _baseline_models(st: Settings, train_path: str, loss, link):
+def _baseline_models(st: Settings, train_path: str, loss):
     ds_enc = data.load_csv(train_path, build_schema(st, train_path))
     zero = boost_config(st, kappa=0)
-    glm_model = boosting.fit_tvcm(ds_enc, loss, link, zero).model
+    glm_model = boosting.fit_tvcm(ds_enc, loss, loss.link, zero).model
     ds_null = data.Dataset(
         y=ds_enc.y, w=ds_enc.w, X=np.empty((ds_enc.n, 0)), x_names=[]
     )
-    null_model = boosting.fit_tvcm(ds_null, loss, link, zero).model
+    null_model = boosting.fit_tvcm(ds_null, loss, loss.link, zero).model
     return null_model, glm_model
 
 
@@ -414,7 +414,7 @@ def cmd_evaluate(st: Settings) -> None:
     [path] = st.required("data")
     preds = getattr(st.args, "pred", None) or []
     out = _out_dir(st)
-    loss, link = loss_link(st)
+    loss = loss_of(st)
     ds = data.load_csv(path, build_schema(st, path))
     window = st.get_int("rolling")
     if window is not None and not 1 <= window <= ds.n:
@@ -428,7 +428,7 @@ def cmd_evaluate(st: Settings) -> None:
         named.append((name, _load_predictions(ppath, ds.n, loss)))
     baseline_path = st.get_str("fit_baselines")
     if baseline_path:
-        null_model, glm_model = _baseline_models(st, baseline_path, loss, link)
+        null_model, glm_model = _baseline_models(st, baseline_path, loss)
         X, _, _ = _frame_for_model(st, glm_model, path)
         named.append(("Intercept", null_model.predict_mu(np.empty((ds.n, 0)))))
         named.append(("GLM", glm_model.predict_mu(X)))

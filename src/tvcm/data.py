@@ -413,7 +413,10 @@ def load_csv(path, schema: Schema) -> Dataset:
     cols = [schema.numeric_values(col, cells[col], path) for col in schema.numeric]
     X = np.column_stack(cols) if cols else np.empty((n, 0))
     ds = Dataset(y=y, w=w, X=X, x_names=list(schema.numeric))
-    return onehot_encode(ds, {col: cells[col] for col in schema.categorical})
+    try:
+        return onehot_encode(ds, {col: cells[col] for col in schema.categorical})
+    except DataError as exc:  # a one-hot column that collides with another
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def onehot_fill(X: np.ndarray, col: str, cells, level_column: dict, where) -> None:

@@ -1,9 +1,11 @@
 """Deviance losses, link functions, and directional gradients.
 
-Only the canonical pairings are accepted (Gaussian deviance with the
-identity link, Poisson deviance with the log link): the monotone-loss
-guarantee of the cyclic trainer relies on the per-observation loss being
-convex in the linear predictor, which holds exactly for these pairs.
+Each loss carries its canonical link as ``loss.link`` (the identity link
+for the Gaussian deviance, the log link for the Poisson deviance): the
+monotone-loss guarantee of the cyclic trainer relies on the per-observation
+loss being convex in the linear predictor, which holds exactly for these
+pairs. ``check_canonical`` checks a link that a caller, a model file or
+a config file names against its loss.
 
 Weights are exposure-style multipliers (policy duration and the like).
 Every evaluation takes ``w`` explicitly; pass ``w = 1`` for unweighted
@@ -79,6 +81,7 @@ class GaussianDeviance:
     """Weighted squared-error deviance: w * (y - mu)^2."""
 
     kind = "gaussian_deviance"
+    link = IDENTITY
 
     def value(self, mu, y, w):
         _check_weights(w)
@@ -107,6 +110,7 @@ class PoissonDeviance:
     """
 
     kind = "poisson_deviance"
+    link = LOG
 
     def _validate(self, y, w):
         _check_weights(w)
@@ -143,11 +147,6 @@ POISSON = PoissonDeviance()
 _LOSSES = {GAUSSIAN.kind: GAUSSIAN, POISSON.kind: POISSON}
 _LINKS = {IDENTITY.kind: IDENTITY, LOG.kind: LOG}
 
-_CANONICAL = {
-    (GAUSSIAN.kind, IDENTITY.kind),
-    (POISSON.kind, LOG.kind),
-}
-
 
 def get_loss(kind: str):
     try:
@@ -164,8 +163,8 @@ def get_link(kind: str):
 
 
 def check_canonical(loss, link) -> None:
-    """Reject non-canonical loss/link pairings at configuration time."""
-    if (loss.kind, link.kind) not in _CANONICAL:
+    """Reject a link that is not the loss's own canonical link."""
+    if link.kind != loss.link.kind:
         raise ConfigError(
             f"unsupported loss/link pairing ({loss.kind}, {link.kind}); "
             "supported: gaussian_deviance+identity, poisson_deviance+log"
@@ -200,7 +199,7 @@ class EtaRecord:
     """What the loss gives at one linear predictor eta, each part
     computed on first use and then kept.
 
-    - ``mu``: the mean, ``link.inverse(eta)``;
+    - ``mu``: the mean, ``loss.link.inverse(eta)``;
     - ``score``: dL/deta per row, unchecked: dL/dmu times dmu/deta,
       which is 1 under the identity link and mu under the log link;
     - ``base``: the same array once a log-link eta has passed
@@ -214,25 +213,24 @@ class EtaRecord:
     new record (``stepped`` builds one from this one).
     """
 
-    def __init__(self, loss, link, eta, y, w):
+    def __init__(self, loss, eta, y, w):
         self.loss = loss
-        self.link = link
         self.eta = np.asarray(eta, dtype=float)
         self.y = y
         self.w = w
 
     @cached_property
     def mu(self):
-        return self.link.inverse(self.eta)
+        return self.loss.link.inverse(self.eta)
 
     @cached_property
     def score(self):
         deriv = self.loss._deriv(self.mu, self.y, self.w)
-        return deriv if self.link.kind == "identity" else deriv * self.mu
+        return deriv if self.loss.link.kind == "identity" else deriv * self.mu
 
     @cached_property
     def base(self):
-        if self.link.kind == "log":
+        if self.loss.link.kind == "log":
             check_eta(self.eta, context="directional gradient")
         return self.score
 
@@ -252,40 +250,40 @@ class EtaRecord:
         The loss is elementwise and eta + 0 == eta, so wherever a row is
         left out or its step is 0 the kept value is the one a fresh
         evaluation gives: ``row_loss`` and ``total`` equal those of
-        ``EtaRecord(loss, link, eta + full_step, y, w)`` bit for bit.
+        ``EtaRecord(loss, eta + full_step, y, w)`` bit for bit.
         """
         eta = self.eta.copy()
         eta[rows] += step
-        out = EtaRecord(self.loss, self.link, eta, self.y, self.w)
+        out = EtaRecord(self.loss, eta, self.y, self.w)
         row_loss = self.row_loss.copy()
         row_loss[rows] = self.loss._value(
-            self.link.inverse(eta[rows]), self.y[rows], self.w[rows]
+            self.loss.link.inverse(eta[rows]), self.y[rows], self.w[rows]
         )
         out.row_loss = row_loss
         return out
 
 
-def directional_gradient(loss, link, x, eta, y, w):
+def directional_gradient(loss, x, eta, y, w):
     """Gradient of the total loss along coefficient direction j.
 
     For observation i this is x_ij * dL/dmu * d(inverse link)/d(eta),
     evaluated at the current linear predictor. The x factor multiplies
     last, so scaling in x is exact. y and w are not checked here.
     """
-    return np.asarray(x, dtype=float) * EtaRecord(loss, link, eta, y, w).base
+    return np.asarray(x, dtype=float) * EtaRecord(loss, eta, y, w).base
 
 
-def loss_total(loss, link, eta, y, w) -> float:
+def loss_total(loss, eta, y, w) -> float:
     """Total loss at linear predictor eta, accumulated in extended precision.
 
     Extended precision keeps successive totals comparable at the 1e-10
     absolute level used by the monotone-training check. y and w are not
     checked here; a Poisson mean that underflows to 0 is a DomainError.
     """
-    return EtaRecord(loss, link, eta, y, w).total
+    return EtaRecord(loss, eta, y, w).total
 
 
-def intercept_shift(loss, link, partial_eta, y, w) -> float:
+def intercept_shift(loss, partial_eta, y, w) -> float:
     """Stationary intercept given the rest of the linear predictor.
 
     Closed forms exist for both canonical pairs (they are the exact
@@ -294,7 +292,7 @@ def intercept_shift(loss, link, partial_eta, y, w) -> float:
     """
     y = np.asarray(y, dtype=float)
     w = np.broadcast_to(np.asarray(w, dtype=float), y.shape)
-    if link.kind == "identity":
+    if loss.link.kind == "identity":
         return float(np.sum(w * (y - partial_eta))) / float(np.sum(w))
     check_eta(partial_eta, context="intercept recalibration")
     wy = float(np.sum(w * y))

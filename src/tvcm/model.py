@@ -105,14 +105,18 @@ class Scores(NamedTuple):
 
 
 class TvcmModel:
-    """Intercept + p coefficient functions + loss/link + feature metadata."""
+    """Intercept + p coefficient functions + loss + feature metadata."""
 
-    def __init__(self, beta0, coef, loss, link, space):
+    def __init__(self, beta0, coef, loss, space):
         self.beta0 = float(beta0)
         self.coef: list[CoefficientFunction] = coef
         self.loss = loss
-        self.link = link
         self.space: FeatureSpace = space
+
+    @property
+    def link(self):
+        """The loss's canonical link."""
+        return self.loss.link
 
     @property
     def p(self) -> int:
@@ -174,11 +178,11 @@ class TvcmModel:
 # -- GLM fitting (IRLS) -------------------------------------------------------
 
 
-def _irls(y, w, X, loss, link):
+def _irls(y, w, X, loss):
     n, p = X.shape
     wy = float(np.sum(w * y))
     sw = float(np.sum(w))
-    if link.kind == "log":
+    if loss.link.kind == "log":
         m = wy / sw
         if m <= 0:
             raise FitError("cannot initialize log link: weighted mean response <= 0")
@@ -189,11 +193,10 @@ def _irls(y, w, X, loss, link):
     A = np.column_stack([np.ones(n), X])
     ridge_diag = np.concatenate([[0.0], np.full(p, _IRLS_RIDGE)])
     coefs = np.concatenate([[beta0], beta])
-    cur = loss_total(loss, link, A @ coefs, y, w)
-    consecutive_bad = 0
+    cur = loss_total(loss, A @ coefs, y, w)
     for _ in range(_IRLS_MAX_ITER):
         eta = A @ coefs
-        if link.kind == "log":
+        if loss.link.kind == "log":
             check_eta(eta, context="glm fit")
             mu = np.exp(eta)
             omega = w * mu
@@ -209,21 +212,17 @@ def _irls(y, w, X, loss, link):
         except np.linalg.LinAlgError as exc:
             raise FitError(f"normal equations are singular: {exc}") from exc
         new = proposal
-        new_loss = loss_total(loss, link, A @ new, y, w)
+        new_loss = loss_total(loss, A @ new, y, w)
         halvings = 0
         while new_loss > cur and halvings < 30:
             new = 0.5 * (new + coefs)
-            new_loss = loss_total(loss, link, A @ new, y, w)
+            new_loss = loss_total(loss, A @ new, y, w)
             halvings += 1
-        if new_loss > cur:
-            consecutive_bad += 1
-            if consecutive_bad >= 5:
-                raise FitError(
-                    "GLM fit diverged: loss increased for 5 consecutive "
-                    f"damped steps (loss {cur:.6g} -> {new_loss:.6g})"
-                )
-            continue
-        consecutive_bad = 0
+        if new_loss > cur:  # the next iteration would repeat this step exactly
+            raise FitError(
+                "GLM fit diverged: the damped step still increased the loss "
+                f"after 30 halvings (loss {cur:.6g} -> {new_loss:.6g})"
+            )
         coefs = new
         rel = abs(cur - new_loss) / max(1.0, abs(cur))
         cur = new_loss
@@ -232,7 +231,7 @@ def _irls(y, w, X, loss, link):
     return GlmCoefficients(beta0=float(coefs[0]), beta=coefs[1:].copy())
 
 
-def fit_glm(dataset: Dataset, loss, link) -> GlmCoefficients:
+def fit_glm(dataset: Dataset, loss) -> GlmCoefficients:
     """GLM estimate by iteratively reweighted least squares.
 
     Expects an encoded, standardized dataset. A tiny ridge (1e-8) on the
@@ -240,9 +239,8 @@ def fit_glm(dataset: Dataset, loss, link) -> GlmCoefficients:
     blocks make the design rank deficient. Bad training data is a
     DataError, as in ``fit_tvcm``.
     """
-    check_canonical(loss, link)
     require_fit_data(dataset, loss)
-    return _irls(dataset.y, dataset.w, dataset.X, loss, link)
+    return _irls(dataset.y, dataset.w, dataset.X, loss)
 
 
 def glm_linear_predictor(glm: GlmCoefficients, X_std: np.ndarray) -> np.ndarray:
@@ -296,8 +294,7 @@ def model_from_dict(payload: dict) -> TvcmModel:
     try:
         try:
             loss = get_loss(payload["loss"])
-            link = get_link(payload["link"])
-            check_canonical(loss, link)
+            check_canonical(loss, get_link(payload["link"]))
         except ConfigError as exc:
             raise ModelFormatError(str(exc)) from None
         feature_names = list(payload["feature_names"])
@@ -335,7 +332,7 @@ def model_from_dict(payload: dict) -> TvcmModel:
         raise ModelFormatError(f"malformed model document: {exc!r}") from exc
     if len(coef) != len(feature_names) or len(modifier_sets) != len(feature_names):
         raise ModelFormatError("dimension count disagrees with feature_names")
-    return TvcmModel(beta0, coef, loss, link, space)
+    return TvcmModel(beta0, coef, loss, space)
 
 
 def save_model(model: TvcmModel, path) -> None:
@@ -347,9 +344,12 @@ def save_model(model: TvcmModel, path) -> None:
 
 
 def load_model(path) -> TvcmModel:
+    """The model saved at ``path``; every ModelFormatError names the file."""
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"model file is not valid JSON: {exc}") from exc
-    return model_from_dict(payload)
+        return model_from_dict(payload)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ModelFormatError(f"{path}: model file is not valid JSON: {exc}") from exc
+    except ModelFormatError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from exc

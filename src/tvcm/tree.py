@@ -628,7 +628,7 @@ def _newton_gamma(x, eta, y, w) -> float:
 
 
 def adjust_leaves(
-    tree: RegressionTree, modifiers, x_col, eta, y, w, loss, link
+    tree: RegressionTree, modifiers, x_col, eta, y, w, loss
 ) -> RegressionTree:
     """Set each leaf value to the loss-minimizing unshrunk step.
 
@@ -652,19 +652,19 @@ def adjust_leaves(
     # once per call, so the per-leaf guard runs unchecked
     require_fit_response(y, w, loss, "leaf adjustment")
     with np.errstate(over="ignore", invalid="ignore"):
-        row_loss = loss._value(link.inverse(eta), y, w)
+        row_loss = loss._value(loss.link.inverse(eta), y, w)
     return _set_leaf_values(
-        tree, x_col, eta, y, w, loss, link, tree.assign(modifiers), row_loss
+        tree, x_col, eta, y, w, loss, tree.assign(modifiers), row_loss
     )
 
 
-def _set_leaf_values(tree, x_col, eta, y, w, loss, link, leaf_of,
+def _set_leaf_values(tree, x_col, eta, y, w, loss, leaf_of,
                      row_loss) -> RegressionTree:
     """``adjust_leaves`` on y and w (length-n arrays) that its caller has
     already checked, given each row's leaf id ``leaf_of`` and the per-row
     loss ``row_loss`` at eta, whose leaf sums are the guard's loss at 0."""
     x_col = np.asarray(x_col, dtype=float)
-    gaussian = loss.kind == "gaussian_deviance" and link.kind == "identity"
+    gaussian = loss.kind == "gaussian_deviance"
     for lid in tree.leaf_ids().tolist():
         rows = np.flatnonzero(leaf_of == lid)
         rows = rows[x_col[rows] != 0.0]
@@ -679,7 +679,7 @@ def _set_leaf_values(tree, x_col, eta, y, w, loss, link, leaf_of,
             gamma = _newton_gamma(xs, es, ys, ws)
         if gamma != 0.0:
             with np.errstate(over="ignore", invalid="ignore"):
-                f_new = float(loss._value(link.inverse(es + gamma * xs), ys, ws).sum())
+                f_new = float(loss._value(loss.link.inverse(es + gamma * xs), ys, ws).sum())
             if not np.isfinite(f_new) or f_new > float(row_loss[rows].sum()):
                 logger.warning("leaf step would increase loss; using 0")
                 gamma = 0.0
@@ -707,6 +707,6 @@ def fit_gradient_tree(
         g, modifiers, config, presorted=presorted, assign_out=assign_out
     )
     return _set_leaf_values(
-        tree, x_col, at_eta.eta, at_eta.y, at_eta.w, at_eta.loss, at_eta.link,
-        assign_out, at_eta.row_loss,
+        tree, x_col, at_eta.eta, at_eta.y, at_eta.w, at_eta.loss, assign_out,
+        at_eta.row_loss,
     )

@@ -45,22 +45,18 @@ def study():
     ds, _ = data.simulate(data.SimulationSpec(n=200000, seed=SIM_SEED))
     train_ds, test_ds = data.split(ds, (0.5, 0.5), seed=SPLIT_SEED)
     std, scaler = data.standardize(train_ds)
-    glm = model.fit_glm(std, losses.GAUSSIAN, losses.IDENTITY)
+    glm = model.fit_glm(std, losses.GAUSSIAN)
     tune = boosting.tune_kappa(
-        std, SIM_CONFIG, _stopping(STOP_SEEDS[0]),
-        losses.GAUSSIAN, losses.IDENTITY,
+        std, SIM_CONFIG, _stopping(STOP_SEEDS[0]), losses.GAUSSIAN
     )
     cfg = dataclasses.replace(SIM_CONFIG, kappa=tuple(int(k) for k in tune.kappa))
-    mdl, trace = boosting.train(
-        std, glm, cfg, losses.GAUSSIAN, losses.IDENTITY, scaler
-    )
+    mdl, trace = boosting.train(std, glm, cfg, losses.GAUSSIAN, scaler)
 
     glm_model, _ = boosting.train(
         std,
         glm,
         dataclasses.replace(SIM_CONFIG, kappa=0),
         losses.GAUSSIAN,
-        losses.IDENTITY,
         scaler,
     )
     null_ds = data.Dataset(
@@ -98,9 +94,7 @@ def tuning_seeds(study):
     std, _ = data.standardize(study["train"])
     kappas = [study["tune"].kappa]
     for seed in STOP_SEEDS[1:]:
-        res = boosting.tune_kappa(
-            std, SIM_CONFIG, _stopping(seed), losses.GAUSSIAN, losses.IDENTITY
-        )
+        res = boosting.tune_kappa(std, SIM_CONFIG, _stopping(seed), losses.GAUSSIAN)
         kappas.append(res.kappa)
     return kappas
 

@@ -2,6 +2,8 @@
 
 Building its hooks looks every traced name up on the package, so a
 renamed or deleted function fails here instead of in a benchmark run.
+Each workload of bench/workloads.py also runs once here, so a changed
+signature that the benchmark calls fails here too.
 """
 
 import importlib.util
@@ -73,3 +75,18 @@ def test_bench_claims_ingest_is_traced(tmp_path):
     assert calls["data.load_csv"]["calls"] == 1
     # one call inside load_csv, and the pass-through around it
     assert calls["data.onehot_encode"]["calls"] == 2
+
+
+def test_every_bench_workload_runs_once(tmp_path, monkeypatch):
+    # bench/run.py imports workloads.py with bench/ on sys.path and runs
+    # set-up, one operation and its check against the checkout's src/
+    assert pathlib.Path(tvcm.__file__).resolve().parents[1] == BENCH.parent / "src"
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    for name, cls in workloads.WORKLOADS.items():
+        work = tmp_path / name
+        work.mkdir()
+        wl = cls(tvcm, str(work), 7)
+        wl.setup()
+        res = wl.op(0)
+        assert wl.check(0, res) == [], name

@@ -15,14 +15,14 @@ def sim_encoded(n=4000, seed=5):
     return ds, mu
 
 
-def fit(ds, kappa, *, loss=losses.GAUSSIAN, link=losses.IDENTITY,
-        min_leaf=10, stopping=None, epsilon=0.01):
+def fit(ds, kappa, *, loss=losses.GAUSSIAN, min_leaf=10, stopping=None,
+        epsilon=0.01):
     cfg = boosting.BoostConfig(
         epsilon=epsilon,
         kappa=kappa,
         tree=tree.TreeConfig(2, min_leaf),
     )
-    return boosting.fit_tvcm(ds, loss, link, cfg, stopping=stopping)
+    return boosting.fit_tvcm(ds, loss, loss.link, cfg, stopping=stopping)
 
 
 def test_config_validation():
@@ -79,7 +79,7 @@ def test_poisson_fit_rejects_negative_response_with_coordinates():
     with pytest.raises(
         DataError, match=r"training data: negative response at row 6, column 'response'"
     ):
-        fit(ds, 1, loss=losses.POISSON, link=losses.LOG)
+        fit(ds, 1, loss=losses.POISSON)
 
 
 @pytest.mark.parametrize(
@@ -97,6 +97,16 @@ def test_modifier_sets_are_checked_against_feature_names(sets, message):
     cfg = boosting.BoostConfig(kappa=1, modifier_sets=sets)
     with pytest.raises(ConfigError, match=message):
         boosting.fit_tvcm(ds, losses.GAUSSIAN, losses.IDENTITY, cfg)
+
+
+@pytest.mark.parametrize("loss, link", [(losses.GAUSSIAN, losses.LOG),
+                                        (losses.POISSON, losses.IDENTITY)],
+                         ids=["gaussian-log", "poisson-identity"])
+def test_fit_tvcm_rejects_a_link_other_than_the_losss_own(loss, link):
+    ds, _ = sim_encoded(n=200)
+    cfg = boosting.BoostConfig(kappa=1)
+    with pytest.raises(ConfigError, match="unsupported loss/link pairing"):
+        boosting.fit_tvcm(ds, loss, link, cfg)
 
 
 def test_zero_kappa_returns_recalibrated_glm():
@@ -123,19 +133,13 @@ def test_single_step_matches_hand_rolled_gradient_step():
     res = boosting.fit_tvcm(ds, losses.GAUSSIAN, losses.IDENTITY, cfg)
 
     std, scaler = data.standardize(ds)
-    glm = model.fit_glm(std, losses.GAUSSIAN, losses.IDENTITY)
+    glm = model.fit_glm(std, losses.GAUSSIAN)
     eta0 = glm.beta0 + std.X @ glm.beta
-    g = losses.directional_gradient(
-        losses.GAUSSIAN, losses.IDENTITY, std.X[:, 0], eta0, ds.y, ds.w
-    )
+    g = losses.directional_gradient(losses.GAUSSIAN, std.X[:, 0], eta0, ds.y, ds.w)
     t = tree.fit_partition(g, std.X, tree.TreeConfig(4, 5))
-    tree.adjust_leaves(
-        t, std.X, std.X[:, 0], eta0, ds.y, ds.w, losses.GAUSSIAN, losses.IDENTITY
-    )
+    tree.adjust_leaves(t, std.X, std.X[:, 0], eta0, ds.y, ds.w, losses.GAUSSIAN)
     eta1 = eta0 + t.predict(std.X) * std.X[:, 0]
-    shift = losses.intercept_shift(
-        losses.GAUSSIAN, losses.IDENTITY, eta1 - glm.beta0, ds.y, ds.w
-    )
+    shift = losses.intercept_shift(losses.GAUSSIAN, eta1 - glm.beta0, ds.y, ds.w)
     expected = eta1 - glm.beta0 + shift
     np.testing.assert_allclose(
         res.model.predict_mu(ds.X), expected, atol=1e-12
@@ -151,14 +155,14 @@ def test_monotone_training_loss(pair):
     n = 3000
     if pair == "gaussian":
         ds, _ = sim_encoded(n=n, seed=8)
-        loss, link = losses.GAUSSIAN, losses.IDENTITY
+        loss = losses.GAUSSIAN
     else:
         X = rng.standard_normal((n, 3))
         w = rng.uniform(0.5, 2.0, size=n)
         counts = rng.poisson(w * np.exp(-1 + 0.4 * X[:, 0] - 0.2 * X[:, 1] ** 2))
         ds = data.Dataset(y=counts / w, w=w, X=X, x_names=["a", "b", "c"])
-        loss, link = losses.POISSON, losses.LOG
-    res = fit(ds, kappa=40, loss=loss, link=link, min_leaf=20)
+        loss = losses.POISSON
+    res = fit(ds, kappa=40, loss=loss, min_leaf=20)
     losses_seq = [r.train_loss for r in res.train_trace]
     for prev, cur in zip(losses_seq, losses_seq[1:]):
         assert cur <= prev + 1e-10
@@ -177,21 +181,13 @@ def test_cached_eta_matches_recomputation():
     ds, _ = sim_encoded(n=5000, seed=13)
     cfg = boosting.BoostConfig(kappa=25, tree=tree.TreeConfig(2, 10))
     std, scaler = data.standardize(ds)
-    glm = model.fit_glm(std, losses.GAUSSIAN, losses.IDENTITY)
-    mdl, trace = boosting.train(
-        std, glm, cfg, losses.GAUSSIAN, losses.IDENTITY, scaler
-    )
+    glm = model.fit_glm(std, losses.GAUSSIAN)
+    mdl, trace = boosting.train(std, glm, cfg, losses.GAUSSIAN, scaler)
     eta_cached_loss = trace[-1].train_loss
     eta_recomputed = mdl.scores(ds.X).eta
     # the final trace loss was computed before intercept recalibration;
     # undo the recorded recalibration shift for comparison
-    recomputed_loss = losses.loss_total(
-        losses.GAUSSIAN,
-        losses.IDENTITY,
-        eta_recomputed,
-        ds.y,
-        ds.w,
-    )
+    recomputed_loss = losses.loss_total(losses.GAUSSIAN, eta_recomputed, ds.y, ds.w)
     # recalibration can only decrease the loss
     assert recomputed_loss <= eta_cached_loss + 1e-10
     # and the model's eta equals the incremental eta to within drift
@@ -228,7 +224,6 @@ def test_tune_rejects_degenerate_split():
             cfg,
             boosting.StoppingConfig(validation_fraction=0.4, seed=0),
             losses.GAUSSIAN,
-            losses.IDENTITY,
         )
 
 
@@ -237,9 +232,7 @@ def test_tune_trace_bookkeeping():
     stopping = boosting.StoppingConfig(patience=5, seed=7)
     cfg = boosting.BoostConfig(kappa=25, tree=tree.TreeConfig(2, 10))
     std, _ = data.standardize(ds)
-    result = boosting.tune_kappa(
-        std, cfg, stopping, losses.GAUSSIAN, losses.IDENTITY
-    )
+    result = boosting.tune_kappa(std, cfg, stopping, losses.GAUSSIAN)
     accepted = {name: 0 for name in ds.x_names}
     for row in result.trace:
         if row.accepted:
@@ -407,7 +400,6 @@ def test_tune_schedule_closes_on_patience():
         cfg,
         boosting.StoppingConfig(patience=patience, seed=2, acceptance_z=1.0),
         losses.GAUSSIAN,
-        losses.IDENTITY,
     )
     closed_on_patience = 0
     for name in ds.x_names:
@@ -444,15 +436,13 @@ def test_tune_reuses_train_loss_after_rejection(monkeypatch):
     calls = []
     real = boosting.loss_total
 
-    def counting(loss, link, eta, y, w):
+    def counting(loss, eta, y, w):
         calls.append(len(y))
-        return real(loss, link, eta, y, w)
+        return real(loss, eta, y, w)
 
     monkeypatch.setattr(boosting, "loss_total", counting)
     cfg = boosting.BoostConfig(kappa=15, tree=tree.TreeConfig(2, 10))
-    result = boosting.tune_kappa(
-        std, cfg, stopping, losses.GAUSSIAN, losses.IDENTITY
-    )
+    result = boosting.tune_kappa(std, cfg, stopping, losses.GAUSSIAN)
     accepted = int(result.kappa.sum())
     rejected = len(result.trace) - accepted
     assert rejected > 1
@@ -481,23 +471,22 @@ def test_trace_losses_equal_fresh_loss_totals(case, tmp_path, monkeypatch):
     # updates; each must equal a fresh loss_total at that step's eta
     if case == "poisson-claims":
         ds = claims_dataset(tmp_path / "claims.csv", 4000, 11)
-        loss, link, epsilon, min_leaf = losses.POISSON, losses.LOG, 0.1, 20
+        loss, epsilon, min_leaf = losses.POISSON, 0.1, 20
     else:
         ds, _ = sim_encoded(n=3000, seed=9)
-        loss, link, epsilon, min_leaf = losses.GAUSSIAN, losses.IDENTITY, 0.05, 10
+        loss, epsilon, min_leaf = losses.GAUSSIAN, 0.05, 10
     std, _ = data.standardize(ds)
     stopping = boosting.StoppingConfig(patience=2, seed=3, acceptance_z=1.0)
     # the validation half and its starting eta, as tune_kappa makes them
     ds_tr, ds_va = data.split(std, (0.5, 0.5), stopping.seed)
-    eta_va = model.glm_linear_predictor(model.fit_glm(ds_tr, loss, link), ds_va.X)
+    eta_va = model.glm_linear_predictor(model.fit_glm(ds_tr, loss), ds_va.X)
     train_losses, valid_losses = [], []
 
     real_train_loss = boosting._CycleState.train_loss
 
     def checked_train_loss(state):
         value = real_train_loss(state)
-        fresh = losses.loss_total(state.loss, state.link, state.eta,
-                                  state.ds.y, state.ds.w)
+        fresh = losses.loss_total(state.loss, state.eta, state.ds.y, state.ds.w)
         assert np.float64(value).tobytes() == np.float64(fresh).tobytes()
         train_losses.append(value)
         return value
@@ -509,7 +498,7 @@ def test_trace_losses_equal_fresh_loss_totals(case, tmp_path, monkeypatch):
             nonlocal eta_va
             accepted, valid = accept(j, candidate)
             eta_new = eta_va + state.eps[j] * candidate.predict(ds_va.X) * ds_va.X[:, j]
-            fresh = losses.loss_total(loss, link, eta_new, ds_va.y, ds_va.w)
+            fresh = losses.loss_total(loss, eta_new, ds_va.y, ds_va.w)
             assert np.float64(valid).tobytes() == np.float64(fresh).tobytes()
             if accepted:
                 eta_va = eta_new
@@ -523,7 +512,7 @@ def test_trace_losses_equal_fresh_loss_totals(case, tmp_path, monkeypatch):
     cfg = boosting.BoostConfig(
         epsilon=epsilon, kappa=4, tree=tree.TreeConfig(2, min_leaf)
     )
-    result = boosting.tune_kappa(std, cfg, stopping, loss, link)
+    result = boosting.tune_kappa(std, cfg, stopping, loss)
     accepted = [row.accepted for row in result.trace]
     assert any(accepted) and not all(accepted)
     assert train_losses == [row.train_loss for row in result.trace]
@@ -550,8 +539,8 @@ def test_poisson_fit_calls_no_checked_loss_evaluation(monkeypatch):
 
         monkeypatch.setattr(losses.POISSON, name, counting)
     stopping = boosting.StoppingConfig(patience=3, seed=2, acceptance_z=1.0)
-    res = fit(ds, kappa=10, loss=losses.POISSON, link=losses.LOG,
-              min_leaf=20, stopping=stopping, epsilon=0.1)
+    res = fit(ds, kappa=10, loss=losses.POISSON, min_leaf=20, stopping=stopping,
+              epsilon=0.1)
     assert res.model.kappa.sum() > 0
     assert calls == []
     losses.POISSON.value(1.0, 1.0, 1.0)
@@ -577,7 +566,7 @@ def test_fit_checks_response_and_weight_once_not_per_tree(monkeypatch):
     Z = rng.standard_normal((60, 1))
     t = tree.fit_partition(rng.standard_normal(60), Z, tree.TreeConfig(1, 10))
     tree.adjust_leaves(t, Z, np.ones(60), np.zeros(60), np.ones(60), 1.0,
-                       losses.GAUSSIAN, losses.IDENTITY)
+                       losses.GAUSSIAN)
     assert checks == ["leaf adjustment"]  # the counter is live
 
 
@@ -595,15 +584,15 @@ def test_every_fit_entry_point_rejects_a_negative_poisson_response(entry):
     # point checks its data itself, reporting the row of its own input
     ds = poisson_dataset_with_negative_response()
     cfg = boosting.BoostConfig(epsilon=0.1, kappa=2, tree=tree.TreeConfig(2, 10))
-    P, L = losses.POISSON, losses.LOG
+    P = losses.POISSON
     calls = {
-        "fit_glm": lambda: model.fit_glm(ds, P, L),
+        "fit_glm": lambda: model.fit_glm(ds, P),
         "train": lambda: boosting.train(
-            ds, model.GlmCoefficients(0.0, np.zeros(2)), cfg, P, L,
+            ds, model.GlmCoefficients(0.0, np.zeros(2)), cfg, P,
             data.standardize(ds)[1],
         ),
         "tune_kappa": lambda: boosting.tune_kappa(
-            ds, cfg, boosting.StoppingConfig(seed=1), P, L
+            ds, cfg, boosting.StoppingConfig(seed=1), P
         ),
     }
     with pytest.raises(
@@ -625,4 +614,4 @@ def test_adjust_leaves_rejects_bad_response_or_weight(field, bad, message):
     t = tree.fit_partition(rng.standard_normal(60), Z, tree.TreeConfig(1, 10))
     with pytest.raises(DataError, match=f"leaf adjustment: {message}"):
         tree.adjust_leaves(t, Z, np.ones(60), np.zeros(60), arrays["y"],
-                           arrays["w"], losses.POISSON, losses.LOG)
+                           arrays["w"], losses.POISSON)

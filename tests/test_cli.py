@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import json
 import os
 import pathlib
 import tempfile
@@ -712,6 +713,57 @@ def test_v1_fixture_scoring_outputs_equal_the_model_bit_for_bit(fixture, tmp_pat
     fi = [float(r["mean_abs_beta"]) for r in read_rows(out / "importance_fi_star.csv")]
     assert np.array_equal(np.asarray(fi), boosting.fi_star(mdl, ds).raw)
     assert dir_digests(out) == V1_SCORING_SHA256[fixture]
+
+
+def set_key(key, value):
+    def edit(payload):
+        payload[key] = value
+    return edit
+
+
+# name: (edit of the Gaussian v1 fixture's document, or the bytes of the
+# file; the start of the error after the file name)
+BAD_MODEL_FILES = {
+    "link": (set_key("link", "log"),
+             "unsupported loss/link pairing (gaussian_deviance, log)"),
+    "onehot": (set_key("onehot_groups", {"x1": ["x2"]}),
+               "one-hot group 'x1' is also a feature column"),
+    "malformed": (set_key("beta0", "zero"), "malformed model document"),
+    "not_json": (b"not json", "model file is not valid JSON"),
+    "not_utf8": (b'{"loss": "caf\xe9"}', "model file is not valid JSON"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MODEL_FILES))
+def test_a_bad_model_file_is_named_in_its_error(tmp_path, capsys, case):
+    edit, message = BAD_MODEL_FILES[case]
+    bad = tmp_path / "bad.json"
+    if isinstance(edit, bytes):
+        bad.write_bytes(edit)
+    else:
+        payload = json.loads((FIXTURES / "gaussian_v1_model.json").read_text())
+        edit(payload)
+        bad.write_text(json.dumps(payload))
+    code = run(["predict", "--model", bad, "--data", tmp_path / "score.csv",
+                "--out", tmp_path])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"tvcm: error: {bad}: {message}")
+
+
+@pytest.mark.parametrize("link, message", [
+    ("log", "unsupported loss/link pairing (gaussian_deviance, log); "
+            "supported: gaussian_deviance+identity, poisson_deviance+log"),
+    ("logit", "unknown link kind 'logit'"),
+])
+def test_a_config_file_link_must_be_the_losss_own(pipeline, tmp_path, capsys,
+                                                  link, message):
+    # the profiles name no link; a config file may, and it is checked
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"link = {link}\n")
+    code = run(["train", "--data", pipeline / "sim_train.csv", "--kappa", "1",
+                "--config", cfg, "--out", tmp_path])
+    assert code == 2
+    assert capsys.readouterr().err == f"tvcm: error: {message}\n"
 
 
 def test_poisson_tune_rejects_a_negative_real_kind_response(tmp_path, capsys):

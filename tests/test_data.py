@@ -242,7 +242,8 @@ def test_load_csv_rejects_a_numeric_column_named_like_a_member(tmp_path):
               [[1.0, 1.0, 5.0 + 3.0 * rng.standard_normal(), "ab"[i % 2]]
                for i in range(20)])
     schema = toy_schema(numeric=("r=a",), categorical=("r",))
-    with pytest.raises(DataError, match=r"one-hot column 'r=a' of group 'r'"):
+    message = f"{path}: one-hot column 'r=a' of group 'r'"
+    with pytest.raises(DataError, match="^" + re.escape(message)):
         data.load_csv(path, schema)
 
 

@@ -70,23 +70,21 @@ def test_deriv_matches_finite_differences(kind):
 
 
 def test_directional_gradient_zero_direction():
-    g = losses.directional_gradient(losses.GAUSSIAN, losses.IDENTITY, 0.0, 1.3, 4.0, 2.0)
+    g = losses.directional_gradient(losses.GAUSSIAN, 0.0, 1.3, 4.0, 2.0)
     assert g == 0.0
 
 
 def test_directional_gradient_known_point():
-    g = losses.directional_gradient(losses.GAUSSIAN, losses.IDENTITY, 2.0, 1.0, 3.0, 1.0)
+    g = losses.directional_gradient(losses.GAUSSIAN, 2.0, 1.0, 3.0, 1.0)
     assert g == -8.0
 
 
 def test_directional_gradient_vanishes_at_fit():
     # identity: mu = eta = y
-    g = losses.directional_gradient(losses.GAUSSIAN, losses.IDENTITY, 1.7, 2.0, 2.0, 3.0)
+    g = losses.directional_gradient(losses.GAUSSIAN, 1.7, 2.0, 2.0, 3.0)
     assert g == 0.0
     # log: mu = exp(eta) = y
-    g = losses.directional_gradient(
-        losses.POISSON, losses.LOG, 1.7, math.log(2.0), 2.0, 3.0
-    )
+    g = losses.directional_gradient(losses.POISSON, 1.7, math.log(2.0), 2.0, 3.0)
     assert g == pytest.approx(0.0, abs=1e-12)
 
 
@@ -97,19 +95,19 @@ def test_directional_gradient_poisson_log_form():
     eta = rng.uniform(-2, 2, size=50)
     y = rng.poisson(1.0, size=50).astype(float)
     w = rng.uniform(0.5, 2.0, size=50)
-    g = losses.directional_gradient(losses.POISSON, losses.LOG, x, eta, y, w)
+    g = losses.directional_gradient(losses.POISSON, x, eta, y, w)
     np.testing.assert_allclose(g, x * 2.0 * w * (np.exp(eta) - y), rtol=1e-12)
 
 
 def test_directional_gradient_scaling_is_exact():
     rng = np.random.default_rng(7)
-    for loss, link in ((losses.GAUSSIAN, losses.IDENTITY), (losses.POISSON, losses.LOG)):
+    for loss in (losses.GAUSSIAN, losses.POISSON):
         x = rng.standard_normal(200)
         eta = rng.uniform(-1.5, 1.5, size=200)
         y = np.abs(rng.standard_normal(200))
         w = rng.uniform(0.2, 3.0, size=200)
-        unit = losses.directional_gradient(loss, link, 1.0, eta, y, w)
-        scaled = losses.directional_gradient(loss, link, x, eta, y, w)
+        unit = losses.directional_gradient(loss, 1.0, eta, y, w)
+        scaled = losses.directional_gradient(loss, x, eta, y, w)
         assert np.array_equal(scaled, x * unit)
 
 
@@ -118,6 +116,7 @@ def test_directional_gradient_scaling_is_exact():
     [(losses.GAUSSIAN, losses.IDENTITY), (losses.POISSON, losses.LOG)],
 )
 def test_canonical_pair_convexity_in_eta(loss, link):
+    assert loss.link is link  # each loss carries its canonical link
     rng = np.random.default_rng(11)
     for _ in range(400):
         e1, e2 = np.sort(rng.uniform(-3.0, 3.0, size=2))
@@ -146,7 +145,7 @@ def test_loss_total_rejects_a_poisson_mean_that_underflows():
     # the fit's unchecked evaluation trusts y and w, but not a mean from a
     # stepped linear predictor: exp(-800) is 0
     with pytest.raises(DomainError, match="mu > 0"):
-        losses.loss_total(losses.POISSON, losses.LOG, [-800.0], 1.0, 1.0)
+        losses.loss_total(losses.POISSON, [-800.0], 1.0, 1.0)
 
 
 def test_nonpositive_weight_rejected():
@@ -159,7 +158,7 @@ def test_nonpositive_weight_rejected():
 def test_eta_overflow_raises_with_row():
     eta = np.array([0.0, 1.0, 800.0])
     with pytest.raises(EtaOverflowError, match="row 2"):
-        losses.directional_gradient(losses.POISSON, losses.LOG, 1.0, eta, 1.0, 1.0)
+        losses.directional_gradient(losses.POISSON, 1.0, eta, 1.0, 1.0)
 
 
 def test_non_canonical_pairs_rejected():
@@ -176,7 +175,7 @@ def test_loss_total_matches_plain_sum():
     eta = rng.uniform(-1, 1, size=1000)
     y = np.abs(rng.standard_normal(1000))
     w = rng.uniform(0.5, 2.0, size=1000)
-    total = losses.loss_total(losses.POISSON, losses.LOG, eta, y, w)
+    total = losses.loss_total(losses.POISSON, eta, y, w)
     direct = float(np.sum(losses.POISSON.value(np.exp(eta), y, w)))
     assert total == pytest.approx(direct, rel=1e-12)
 
@@ -203,16 +202,13 @@ def stepped_etas(draw):
 def test_stepped_record_equals_a_fresh_evaluation(case, kind):
     # the validation update recomputes only the moved rows; its per-row
     # loss and total equal a full evaluation at the stepped eta
-    loss, link = (
-        (losses.GAUSSIAN, losses.IDENTITY) if kind == "gaussian"
-        else (losses.POISSON, losses.LOG)
-    )
+    loss = losses.GAUSSIAN if kind == "gaussian" else losses.POISSON
     eta, y, w, rows, step = case
-    record = losses.EtaRecord(loss, link, eta, y, w)
+    record = losses.EtaRecord(loss, eta, y, w)
     stepped = record.stepped(rows, step[rows])
-    fresh = losses.loss_total(loss, link, eta + step, y, w)
+    fresh = losses.loss_total(loss, eta + step, y, w)
     assert np.float64(stepped.total).tobytes() == np.float64(fresh).tobytes()
-    full = loss._value(link.inverse(eta + step), y, w)
+    full = loss._value(loss.link.inverse(eta + step), y, w)
     assert stepped.row_loss.tobytes() == full.tobytes()
     assert record.eta.tobytes() == eta.tobytes()  # the record is unchanged
 
@@ -220,6 +216,6 @@ def test_stepped_record_equals_a_fresh_evaluation(case, kind):
 def test_eta_record_checks_a_log_link_eta_before_the_gradient_base():
     # as directional_gradient does, with the same context in the message
     eta = np.array([-1.0, 0.5, 800.0])
-    record = losses.EtaRecord(losses.POISSON, losses.LOG, eta, np.ones(3), np.ones(3))
+    record = losses.EtaRecord(losses.POISSON, eta, np.ones(3), np.ones(3))
     with pytest.raises(EtaOverflowError, match="row 2 .*directional gradient"):
         record.base

@@ -8,7 +8,7 @@ import pytest
 
 from helpers import tree_field_bytes
 from tvcm import boosting, data, losses, model, tree
-from tvcm.errors import DataError, EtaOverflowError, ModelFormatError
+from tvcm.errors import DataError, EtaOverflowError, FitError, ModelFormatError
 
 
 def gaussian_fit(ds_enc, kappa=0, **cfg_kw):
@@ -39,7 +39,7 @@ def test_fit_glm_exact_linear_recovery():
     X = rng.standard_normal((1000, 4))
     y = 0.5 * X[:, 0]
     ds = data.Dataset(y=y, w=np.ones(1000), X=X, x_names=list("abcd"))
-    glm = model.fit_glm(ds, losses.GAUSSIAN, losses.IDENTITY)
+    glm = model.fit_glm(ds, losses.GAUSSIAN)
     assert abs(glm.beta0) < 1e-8
     assert abs(glm.beta[0] - 0.5) < 1e-8
     assert np.all(np.abs(glm.beta[1:]) < 1e-8)
@@ -54,7 +54,7 @@ def test_fit_glm_intercept_only_poisson_closed_form():
     ds = data.Dataset(
         y=counts / w, w=w, X=np.empty((500, 0)), x_names=[]
     )
-    glm = model.fit_glm(ds, losses.POISSON, losses.LOG)
+    glm = model.fit_glm(ds, losses.POISSON)
     assert glm.beta0 == pytest.approx(
         math.log(counts.sum() / w.sum()), abs=1e-10
     )
@@ -64,11 +64,29 @@ def test_fit_glm_intercept_only_poisson_closed_form():
 def test_fit_glm_simulated_profile():
     ds, _ = data.simulate(data.SimulationSpec(n=50000, seed=12))
     std, _ = data.standardize(ds)
-    glm = model.fit_glm(std, losses.GAUSSIAN, losses.IDENTITY)
+    glm = model.fit_glm(std, losses.GAUSSIAN)
     assert glm.beta[0] == pytest.approx(0.5, abs=0.05)
     assert glm.beta[5] == pytest.approx(0.125, abs=0.05)
     for j in (1, 3, 4, 6, 7):
         assert abs(glm.beta[j]) <= 0.05
+
+
+def test_irls_raises_at_the_first_step_that_raises_the_loss(monkeypatch):
+    # the next iteration would start from the same coefficients and
+    # repeat the same 31 loss evaluations
+    calls = []
+
+    def rising(*args):
+        calls.append(args)
+        return 1.0 if len(calls) == 1 else 2.0
+
+    monkeypatch.setattr(model, "loss_total", rising)
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((50, 2))
+    ds = data.Dataset(y=X[:, 0] + 1.0, w=np.ones(50), X=X, x_names=["a", "b"])
+    with pytest.raises(FitError, match=r"loss 1 -> 2\)"):
+        model.fit_glm(ds, losses.GAUSSIAN)
+    assert len(calls) == 32  # the start, one step and its 30 halvings
 
 
 def test_beta_of_zero_trees_is_glm():
@@ -85,7 +103,7 @@ def test_beta_of_hand_composed_tree():
     cf = model.CoefficientFunction(
         beta_glm=0.3, epsilon=0.01, trees=[single_leaf_tree(2.0)]
     )
-    mdl = model.TvcmModel(0.0, [cf], losses.GAUSSIAN, losses.IDENTITY, space)
+    mdl = model.TvcmModel(0.0, [cf], losses.GAUSSIAN, space)
     assert mdl.beta_of(np.array([[1.2]]))[0, 0] == pytest.approx(0.3 + 0.02)
 
 
@@ -123,9 +141,11 @@ def test_predict_all_zero_x_gives_inverse_link_of_intercept():
         model.CoefficientFunction(beta_glm=0.5, epsilon=0.01, trees=[])
         for _ in range(2)
     ]
-    mdl = model.TvcmModel(0.7, cfs, losses.GAUSSIAN, losses.IDENTITY, space)
+    mdl = model.TvcmModel(0.7, cfs, losses.GAUSSIAN, space)
+    assert mdl.link is losses.IDENTITY
     assert mdl.predict_mu(np.zeros((1, 2)))[0] == pytest.approx(0.7)
-    mdl_log = model.TvcmModel(0.7, cfs, losses.POISSON, losses.LOG, space)
+    mdl_log = model.TvcmModel(0.7, cfs, losses.POISSON, space)
+    assert mdl_log.link is losses.LOG
     assert mdl_log.predict_mu(np.zeros((1, 2)))[0] == pytest.approx(math.exp(0.7))
 
 
@@ -155,11 +175,11 @@ def test_recalibrate_fixed_point_and_shift_invariance():
     mdl = gaussian_fit(ds, kappa=10).model
     rest = mdl.scores(ds.X).eta - mdl.beta0
     # a trained model's intercept is already the stationary one
-    beta0 = losses.intercept_shift(mdl.loss, mdl.link, rest, ds.y, ds.w)
+    beta0 = losses.intercept_shift(mdl.loss, rest, ds.y, ds.w)
     assert beta0 == pytest.approx(mdl.beta0, abs=1e-10)
     # shifting the rest of the predictor by a constant shifts the
     # recalibrated intercept back by the same constant
-    back = losses.intercept_shift(mdl.loss, mdl.link, rest + 3.7, ds.y, ds.w)
+    back = losses.intercept_shift(mdl.loss, rest + 3.7, ds.y, ds.w)
     assert back == pytest.approx(beta0 - 3.7, abs=1e-10)
 
 
@@ -407,7 +427,7 @@ def test_predict_rejects_a_separate_modifier_matrix():
 def test_predict_overflow_names_row():
     space = identity_space(1)
     cf = model.CoefficientFunction(beta_glm=1.0, epsilon=1.0, trees=[])
-    mdl = model.TvcmModel(0.0, [cf], losses.POISSON, losses.LOG, space)
+    mdl = model.TvcmModel(0.0, [cf], losses.POISSON, space)
     X = np.array([[1.0], [900.0]])
     with pytest.raises(EtaOverflowError, match="row 1"):
         mdl.predict_mu(X)
@@ -417,7 +437,7 @@ def test_predict_underflow_names_row():
     # exp(-800) is 0.0 in float64: a zero mean, not a tiny one
     space = identity_space(1)
     cf = model.CoefficientFunction(beta_glm=1.0, epsilon=1.0, trees=[])
-    mdl = model.TvcmModel(0.0, [cf], losses.POISSON, losses.LOG, space)
+    mdl = model.TvcmModel(0.0, [cf], losses.POISSON, space)
     X = np.array([[1.0], [-800.0], [2.0]])
     with pytest.raises(EtaOverflowError, match=r"-800 at row 1 underflows .*\(predict\)"):
         mdl.predict_mu(X)

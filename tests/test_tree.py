@@ -357,7 +357,6 @@ def test_route_single_leaf_and_tie_rule():
         np.array([3.0, 5.0]),
         np.ones(2),
         losses.GAUSSIAN,
-        losses.IDENTITY,
     )
     queries = np.array([[-10.0], [0.0], [10.0]])
     assert single.assign(queries).tolist() == [0, 0, 0]
@@ -369,7 +368,7 @@ def test_route_four_row_example_after_adjust():
     # gaussian/identity with eta=0, x=1 makes each leaf value the leaf
     # mean of y; feeding y = g reproduces the gradient means
     adjust_leaves(
-        tree, Z, np.ones(4), np.zeros(4), g, np.ones(4), losses.GAUSSIAN, losses.IDENTITY
+        tree, Z, np.ones(4), np.zeros(4), g, np.ones(4), losses.GAUSSIAN
     )
     np.testing.assert_allclose(tree.predict(np.array([[1.0], [4.0]])), [-1.0, 1.0])
 
@@ -381,8 +380,7 @@ def test_from_dict_of_to_dict_is_the_same_tree():
     g = rng.standard_normal(n) + Z[:, 1]
     fitted = fit_partition(g, Z, TreeConfig(3, 10))
     adjust_leaves(fitted, Z, rng.standard_normal(n), np.zeros(n),
-                  rng.standard_normal(n), np.ones(n), losses.GAUSSIAN,
-                  losses.IDENTITY)
+                  rng.standard_normal(n), np.ones(n), losses.GAUSSIAN)
     fitted.value[int(fitted.leaf_ids()[0])] = -0.0
     single = fit_partition(np.ones(4), np.zeros((4, 1)), TreeConfig(1, 1))
     for tree in (fitted, single):
@@ -451,7 +449,7 @@ def adjusted_trees(draw):
     tree = fit_partition(g, Z, TreeConfig(depth, min_leaf))
     x = np.where(rng.random(n) < 0.2, 0.0, rng.standard_normal(n))
     adjust_leaves(tree, Z, x, np.zeros(n), rng.standard_normal(n), np.ones(n),
-                  losses.GAUSSIAN, losses.IDENTITY)
+                  losses.GAUSSIAN)
     for lid in tree.leaf_ids().tolist():
         if draw(st.booleans()):
             tree.value[lid] = -0.0
@@ -499,7 +497,6 @@ def test_adjust_zero_direction_leaf():
         np.ones(2),
         np.ones(2),
         losses.GAUSSIAN,
-        losses.IDENTITY,
     )
     assert all(float(v) == 0.0 for v in tree.value)
 
@@ -514,7 +511,6 @@ def test_adjust_gaussian_closed_form_single_row():
         np.array([3.0]),
         np.array([1.0]),
         losses.GAUSSIAN,
-        losses.IDENTITY,
     )
     assert float(tree.value[0]) == pytest.approx(1.0)  # 2*(3-1)/4
 
@@ -529,10 +525,10 @@ def test_adjust_poisson_stationarity_residual():
     w = rng.uniform(0.5, 2.0, size=n)
     counts = rng.poisson(w * np.exp(eta)).astype(float)
     y = counts / w
-    g = losses.directional_gradient(losses.POISSON, losses.LOG, x, eta, y, w)
+    g = losses.directional_gradient(losses.POISSON, x, eta, y, w)
     Z = rng.standard_normal((n, 2))
     tree = fit_partition(g, Z, TreeConfig(2, 20))
-    adjust_leaves(tree, Z, x, eta, y, w, losses.POISSON, losses.LOG)
+    adjust_leaves(tree, Z, x, eta, y, w, losses.POISSON)
     leaf_of = tree.assign(Z)
     for lid in tree.leaf_ids():
         rows = np.flatnonzero(leaf_of == lid)
@@ -547,9 +543,9 @@ def test_adjust_poisson_stationarity_residual():
 def test_adjust_never_increases_leaf_loss(pair):
     rng = np.random.default_rng(31)
     if pair == "gaussian":
-        loss, link = losses.GAUSSIAN, losses.IDENTITY
+        loss = losses.GAUSSIAN
     else:
-        loss, link = losses.POISSON, losses.LOG
+        loss = losses.POISSON
     for rep in range(20):
         n = int(rng.integers(30, 200))
         x = rng.standard_normal(n)
@@ -561,21 +557,17 @@ def test_adjust_never_increases_leaf_loss(pair):
         )
         w = rng.uniform(0.5, 2.0, size=n)
         Z = rng.standard_normal((n, 2))
-        g = losses.directional_gradient(loss, link, x, eta, y, w)
+        g = losses.directional_gradient(loss, x, eta, y, w)
         tree = fit_partition(g, Z, TreeConfig(2, 5))
-        adjust_leaves(tree, Z, x, eta, y, w, loss, link)
+        adjust_leaves(tree, Z, x, eta, y, w, loss)
         leaf_of = tree.assign(Z)
         for lid in tree.leaf_ids():
             rows = np.flatnonzero(leaf_of == lid)
             gamma = float(tree.value[lid])
-            before = float(np.sum(loss.value(link.inverse(eta[rows]), y[rows], w[rows])))
-            after = float(
-                np.sum(
-                    loss.value(
-                        link.inverse(eta[rows] + gamma * x[rows]), y[rows], w[rows]
-                    )
-                )
-            )
+            mu_before = loss.link.inverse(eta[rows])
+            mu_after = loss.link.inverse(eta[rows] + gamma * x[rows])
+            before = float(np.sum(loss.value(mu_before, y[rows], w[rows])))
+            after = float(np.sum(loss.value(mu_after, y[rows], w[rows])))
             assert after <= before + 1e-12
 
 
@@ -583,9 +575,7 @@ def poisson_leaf_step(x, eta, y, w):
     """Value adjust_leaves gives a one-leaf tree over these rows."""
     n = len(x)
     tree = fit_partition(np.zeros(n), np.zeros((n, 1)), TreeConfig(1, n))
-    adjust_leaves(
-        tree, np.zeros((n, 1)), x, eta, y, w, losses.POISSON, losses.LOG
-    )
+    adjust_leaves(tree, np.zeros((n, 1)), x, eta, y, w, losses.POISSON)
     return float(tree.value[0])
 
 
@@ -601,7 +591,7 @@ def test_constant_x_leaf_is_intercept_closed_form(c):
     w = rng.uniform(0.1, 1.0, size=n)
     y = rng.poisson(2.0 * np.exp(eta)).astype(float) / w
     x = np.full(n, c)
-    expected = losses.intercept_shift(losses.POISSON, losses.LOG, eta, y, w) / c
+    expected = losses.intercept_shift(losses.POISSON, eta, y, w) / c
     assert expected != 0.0
     assert poisson_leaf_step(x, eta, y, w) == expected
 
@@ -650,10 +640,7 @@ def test_zero_response_leaf_with_mixed_sign_x_takes_its_minimiser():
 def test_adjust_leaves_given_the_row_loss_sets_the_same_values(kind):
     # the fit loop's leaf step reads the per-row loss its EtaRecord already
     # holds; adjust_leaves computes it, and every node field is the same
-    loss, link = (
-        (losses.GAUSSIAN, losses.IDENTITY) if kind == "gaussian"
-        else (losses.POISSON, losses.LOG)
-    )
+    loss = losses.GAUSSIAN if kind == "gaussian" else losses.POISSON
     rng = np.random.default_rng(8)
     n = 500
     Z = np.column_stack([rng.standard_normal(n), rng.integers(0, 5, n)])
@@ -662,11 +649,11 @@ def test_adjust_leaves_given_the_row_loss_sets_the_same_values(kind):
     w = rng.uniform(0.2, 2.0, size=n)
     y = (rng.poisson(w * np.exp(eta)) / w if kind == "poisson"
          else rng.standard_normal(n))
-    record = losses.EtaRecord(loss, link, eta, y, w)
+    record = losses.EtaRecord(loss, eta, y, w)
     config = TreeConfig(3, 10)
     fitted = fit_gradient_tree(x, Z, record, config)
     adjusted = fit_partition(x * record.base, Z, config)
-    adjust_leaves(adjusted, Z, x, eta, y, w, loss, link)
+    adjust_leaves(adjusted, Z, x, eta, y, w, loss)
     assert np.count_nonzero(fitted.value) >= 4
     assert tree_field_bytes(fitted) == tree_field_bytes(adjusted)
 
@@ -880,7 +867,7 @@ def test_split_gains_sum_repeated_feature():
 def test_serialization_round_trip():
     tree, g, Z = four_row_tree()
     adjust_leaves(
-        tree, Z, np.ones(4), np.zeros(4), g, np.ones(4), losses.GAUSSIAN, losses.IDENTITY
+        tree, Z, np.ones(4), np.zeros(4), g, np.ones(4), losses.GAUSSIAN
     )
     clone = RegressionTree.from_dict(tree.to_dict())
     queries = np.linspace(-1, 6, 50)[:, None]
