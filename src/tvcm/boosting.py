@@ -14,12 +14,12 @@ Fitted models and tune results are immutable outputs. A trace is
 written with ``tvcm.data.write_csv``, as every CSV file tvcm writes is.
 
 Most candidates are rejected, so eta stays put for many candidates in a
-row. Whatever depends on eta alone is kept once per eta in a
-``losses.EtaRecord``, made on first use and dropped when a candidate is
-applied: on the train half mu, the gradient base and the per-row loss
-(``_CycleState``); on the validation half the per-row loss and the
-noise-margin score, with a candidate's loss recomputed only on the
-validation rows where its dimension's x is non-zero (``tune_kappa``).
+row. Each half keeps what depends on eta alone in one ``losses.EtaRecord``:
+mu, the gradient base and the per-row loss on the train half
+(``_CycleState.at``), the per-row loss and the noise-margin score on the
+validation half (``tune_kappa``). Only ``EtaRecord.stepped`` moves eta,
+on the rows where the tree's x is non-zero: per accepted tree on the
+train half, per candidate on the validation half.
 """
 
 from __future__ import annotations
@@ -48,6 +48,14 @@ from .model import (
 from .tree import SplitIndex, TreeConfig, fit_gradient_tree, presort_columns
 
 
+def _per_dimension(name: str, value, dtype, p: int) -> np.ndarray:
+    """``value``, a scalar or one value per dimension, as p values."""
+    v = np.asarray(value, dtype=dtype)
+    if v.shape not in ((), (1,), (p,)):
+        raise ConfigError(f"{name} lists {v.size} values for {p} dimensions")
+    return np.broadcast_to(v, (p,)).copy()
+
+
 @dataclass(frozen=True)
 class BoostConfig:
     """Shrinkage, tree counts, tree shape, and per-dimension modifier sets.
@@ -64,13 +72,13 @@ class BoostConfig:
     modifier_sets: tuple | None = None
 
     def epsilon_vector(self, p: int) -> np.ndarray:
-        eps = np.broadcast_to(np.asarray(self.epsilon, dtype=float), (p,)).copy()
+        eps = _per_dimension("epsilon", self.epsilon, float, p)
         if np.any(eps <= 0) or np.any(eps > 1):
             raise ConfigError("epsilon values must lie in (0, 1]")
         return eps
 
     def kappa_vector(self, p: int) -> np.ndarray:
-        kappa = np.broadcast_to(np.asarray(self.kappa, dtype=np.int64), (p,)).copy()
+        kappa = _per_dimension("kappa", self.kappa, np.int64, p)
         if np.any(kappa < 0):
             raise ConfigError("kappa values must be >= 0")
         return kappa
@@ -157,33 +165,39 @@ def _resolve_modifier_sets(config: BoostConfig, ds: Dataset) -> list[np.ndarray]
     return out
 
 
-class _CycleState:
-    """Mutable trainer state over one dataset: eta, one split-search
-    index (``presort_columns``: one bundle per one-hot group, bin codes
-    for other low-cardinality columns, sort orders for the rest) per
-    unique modifier subset, accumulated trees, and one ``EtaRecord`` per
-    eta.
+def _moving_rows(x: np.ndarray):
+    """The rows a tree along direction x can move: those with x != 0,
+    or every row (a slice) when no x is 0."""
+    rows = np.flatnonzero(x)
+    return slice(None) if rows.size == x.size else rows
 
-    The record is made by the first use of an eta (the first candidate,
-    or the trace row after an accept) and dropped by ``apply``. It keeps
-    mu, the gradient base that every candidate's gradient multiplies by
-    its x column, and the per-row loss, which gives the leaf-step guard
-    its loss at 0 and the trace its training loss. So the candidates
-    that dimension-wise early stopping rejects, most of them, recompute
-    none of these.
+
+class _CycleState:
+    """Mutable trainer state over one dataset: the ``EtaRecord`` at the
+    current eta (``at``), one split-search index (``presort_columns``:
+    one bundle per one-hot group, bin codes for other low-cardinality
+    columns, sort orders for the rest) per unique modifier subset, and
+    the accumulated trees.
+
+    The record keeps mu, the gradient base that every candidate's
+    gradient multiplies by its x column, and the per-row loss, which
+    gives the leaf-step guard its loss at 0 and the trace its training
+    loss. So the candidates that dimension-wise early stopping rejects,
+    most of them, recompute none of these. ``apply`` steps it as
+    ``tune_kappa`` steps its validation record.
     """
 
     def __init__(self, ds: Dataset, glm: GlmCoefficients, config: BoostConfig,
                  loss, modifier_sets):
         self.ds = ds
-        self.loss = loss
         self.config = config
         self.eps = config.epsilon_vector(ds.p)
         self.x_cols = [np.ascontiguousarray(ds.X[:, j]) for j in range(ds.p)]
-        self.eta = glm_linear_predictor(glm, ds.X)
+        self.rows = [_moving_rows(x) for x in self.x_cols]
+        self.at = EtaRecord(loss, glm_linear_predictor(glm, ds.X), ds.y, ds.w)
         self.trees: list[list] = [[] for _ in range(ds.p)]
-        self._assign_buf = np.empty(ds.n, dtype=np.int32)
-        self._at_eta: EtaRecord | None = None
+        # the training-row leaf ids of the candidate fitted last
+        self._leaf_of = np.empty(ds.n, dtype=np.int32)
         onehot = OneHotMap(ds.x_names, ds.onehot_groups)
         subsets: dict[tuple, tuple] = {}
         self._modifiers: list[np.ndarray] = []
@@ -204,37 +218,29 @@ class _CycleState:
             self._modifiers.append(sub)
             self._presorted.append(pre)
 
-    def _record(self) -> EtaRecord:
-        if self._at_eta is None:
-            self._at_eta = EtaRecord(self.loss, self.eta, self.ds.y, self.ds.w)
-        return self._at_eta
-
     def fit_candidate(self, j: int):
-        """Fitted candidate tree plus its training-row leaf assignment."""
-        tree = fit_gradient_tree(
+        """Candidate tree for dimension j at the current eta."""
+        return fit_gradient_tree(
             self.x_cols[j],
             self._modifiers[j],
-            self._record(),
+            self.at,
             self.config.tree,
             presorted=self._presorted[j],
-            assign_out=self._assign_buf,
+            assign_out=self._leaf_of,
         )
-        return tree, self._assign_buf.copy()
 
-    def apply(self, j: int, tree, leaf_of: np.ndarray, cycle: int) -> None:
-        self.eta = self.eta + self.eps[j] * np.take(tree.value, leaf_of) * self.x_cols[j]
-        if not np.all(np.isfinite(self.eta)):
+    def apply(self, j: int, tree, cycle: int) -> None:
+        """Add ``tree``, the candidate fitted last, to dimension j."""
+        rows = self.rows[j]
+        step = self.eps[j] * np.take(tree.value, self._leaf_of[rows]) * self.x_cols[j][rows]
+        # eta is finite: check the step before the loss is evaluated at it
+        if not np.all(np.isfinite(step)):
             raise FitError(
                 f"non-finite linear predictor after cycle {cycle}, "
                 f"dimension {j} ({self.ds.x_names[j]})"
             )
+        self.at = self.at.stepped(rows, step)
         self.trees[j].append(tree)
-        self._at_eta = None
-
-    def train_loss(self) -> float:
-        """Training loss at the current eta (``loss_total``'s sum of
-        the record's per-row loss); computed once per eta."""
-        return self._record().total
 
 
 def _run_cycles(state: _CycleState, kappa_max: np.ndarray, accept,
@@ -255,10 +261,10 @@ def _run_cycles(state: _CycleState, kappa_max: np.ndarray, accept,
     while np.any(open_dim):
         cycle += 1
         for j in np.flatnonzero(open_dim).tolist():
-            tree, leaf_of = state.fit_candidate(j)
+            tree = state.fit_candidate(j)
             accepted, valid_loss = accept(j, tree)
             if accepted:
-                state.apply(j, tree, leaf_of, cycle)
+                state.apply(j, tree, cycle)
                 rejections[j] = 0
             else:
                 rejections[j] += 1
@@ -268,7 +274,7 @@ def _run_cycles(state: _CycleState, kappa_max: np.ndarray, accept,
                 TraceRow(
                     cycle=cycle,
                     dimension=state.ds.x_names[j],
-                    train_loss=state.train_loss(),
+                    train_loss=state.at.total,
                     valid_loss=valid_loss,
                     accepted=accepted,
                 )
@@ -306,7 +312,7 @@ def train(
     modifier_sets = _resolve_modifier_sets(config, dataset)
     state = _CycleState(dataset, glm, config, loss, modifier_sets)
     trace = _run_cycles(state, kappa, lambda j, tree: (True, None))
-    beta0 = intercept_shift(loss, state.eta - glm.beta0, dataset.y, dataset.w)
+    beta0 = intercept_shift(loss, state.at.eta - glm.beta0, dataset.y, dataset.w)
     coef = [
         CoefficientFunction(
             beta_glm=float(glm.beta[j]),
@@ -352,11 +358,7 @@ def tune_kappa(
 
     va_modifiers = [modifier_columns(ds_va.X, idx) for idx in modifier_sets]
     va_xcols = [np.ascontiguousarray(ds_va.X[:, j]) for j in range(ds_va.p)]
-    # the validation rows a dimension's trees can move: those with x != 0
-    va_rows = []
-    for x in va_xcols:
-        rows = np.flatnonzero(x)
-        va_rows.append(slice(None) if rows.size == ds_va.n else rows)
+    va_rows = [_moving_rows(x) for x in va_xcols]
     at_va = EtaRecord(loss, glm_linear_predictor(glm, ds_va.X), ds_va.y, ds_va.w)
 
     def validate(j, tree):

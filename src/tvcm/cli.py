@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -415,7 +416,9 @@ def cmd_evaluate(st: Settings) -> None:
     preds = getattr(st.args, "pred", None) or []
     out = _out_dir(st)
     loss = loss_of(st)
-    ds = data.load_csv(path, build_schema(st, path))
+    # the outcomes alone: --fit-baselines reads the features itself
+    outcomes = replace(build_schema(st, path), numeric=(), categorical=(), ordinal={})
+    ds = data.load_csv(path, outcomes)
     window = st.get_int("rolling")
     if window is not None and not 1 <= window <= ds.n:
         raise ConfigError(f"--rolling must be a window of 1 to {ds.n} rows, "

@@ -202,6 +202,19 @@ class Schema:
             v = np.log1p(v)
         return v
 
+    def response_values(self, cells: list[str], w: np.ndarray, path) -> np.ndarray:
+        """Responses from the text cells of the response column: required
+        finite (and >= 0 for counts), capped as declared, then divided by
+        the weights ``w`` under ``response_per_weight``."""
+        col = self.response
+        y = float_cells(cells, col, path)
+        require_finite(y, [col], path)
+        if self.response_kind == "count":
+            require_all(y >= 0, "negative count", col, path)
+        if col in self.caps:
+            y = np.minimum(y, self.caps[col])
+        return y / w if self.response_per_weight else y
+
     def weight_values(self, cells: list[str], path) -> np.ndarray:
         """Weights from the text cells of the weight column: capped as
         declared, then required finite and positive."""
@@ -400,15 +413,8 @@ def load_csv(path, schema: Schema) -> Dataset:
     cells, n = read_columns(path, names)
     if n == 0:
         raise DataError(f"{path}: no data rows")
-    y = float_cells(cells[schema.response], schema.response, path)
-    require_finite(y, [schema.response], path)
-    if schema.response_kind == "count":
-        require_all(y >= 0, "negative count", schema.response, path)
-    if schema.response in schema.caps:
-        y = np.minimum(y, schema.caps[schema.response])
     w = schema.weight_values(cells[schema.weight], path) if schema.weight else np.ones(n)
-    if schema.response_per_weight:
-        y = y / w
+    y = schema.response_values(cells[schema.response], w, path)
 
     cols = [schema.numeric_values(col, cells[col], path) for col in schema.numeric]
     X = np.column_stack(cols) if cols else np.empty((n, 0))

@@ -21,16 +21,17 @@ call) check them first; the trees of a fit take their leaf step
 without that per-tree check. They keep the Poisson mu > 0 test, since mu
 there comes from a stepped linear predictor that no entry check covers.
 
-What depends on eta alone is kept in an ``EtaRecord``, one per eta, so
-the cyclic loop evaluates, on the training half, one ``_deriv`` and one
-``_value`` over every row per eta (the gradient base, and the per-row
-loss that gives the trace its total and the leaf-step guard its loss at
-a zero step), and per candidate only ``_value`` on each leaf with a
-non-zero step; on the validation half, one ``_value`` over every row at
-the start, per candidate ``_value`` on the rows whose x is non-zero
-(``EtaRecord.stepped``), and one ``_deriv`` per accepted eta for the
-noise margin. ``directional_gradient`` and ``loss_total`` compute the
-same arithmetic through a fresh record; the GLM fit calls
+What depends on eta alone is kept in an ``EtaRecord``, one per eta; the
+cyclic loop moves eta only with ``EtaRecord.stepped``, which recomputes
+the per-row loss on the rows a tree moves (x != 0). On the training
+half the loop evaluates one ``_value`` and one ``_deriv`` over every row
+at the start, then per accepted tree ``_value`` on its rows and one
+``_deriv`` over every row (the next gradient base), and per candidate
+``_value`` on each leaf with a non-zero step (the leaf-step guard). On
+the validation half: one ``_value`` over every row at the start, per
+candidate ``_value`` on its rows, and one ``_deriv`` per accepted eta
+(the noise margin). ``directional_gradient`` and ``loss_total`` compute
+the same arithmetic through a fresh record; the GLM fit calls
 ``loss_total``.
 """
 
@@ -210,7 +211,7 @@ class EtaRecord:
 
     y and w are not checked here; a Poisson mean that underflows to 0 is
     a DomainError. Nothing updates a record in place: a new eta gets a
-    new record (``stepped`` builds one from this one).
+    new record; the cyclic loop makes one per half, then steps it.
     """
 
     def __init__(self, loss, eta, y, w):

@@ -319,20 +319,35 @@ def model_from_dict(payload: dict) -> TvcmModel:
             onehot_groups={k: list(v) for k, v in payload["onehot_groups"].items()},
             scaler=scaler,
         )
+        dims = payload["dimensions"]
+        if len(dims) != len(feature_names) or len(modifier_sets) != len(feature_names):
+            raise ModelFormatError("dimension count disagrees with feature_names")
         coef = [
             CoefficientFunction(
                 beta_glm=float(d["beta_glm"]),
                 epsilon=float(d["epsilon"]),
-                trees=[RegressionTree.from_dict(t) for t in d["trees"]],
+                trees=[_tree_from_dict(t, j, i, feature_names[j], len(modifier_sets[j]))
+                       for i, t in enumerate(d["trees"])],
             )
-            for d in payload["dimensions"]
+            for j, d in enumerate(dims)
         ]
         beta0 = float(payload["beta0"])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"malformed model document: {exc!r}") from exc
-    if len(coef) != len(feature_names) or len(modifier_sets) != len(feature_names):
-        raise ModelFormatError("dimension count disagrees with feature_names")
     return TvcmModel(beta0, coef, loss, space)
+
+
+def _tree_from_dict(payload, j: int, i: int, name: str, n_modifiers: int):
+    """``RegressionTree.from_dict`` of tree i of dimension j, whose
+    ModelFormatError names the dimension and the tree; the tree must
+    split on the dimension's ``n_modifiers`` modifier columns."""
+    try:
+        if (n_features := int(payload["n_features"])) != n_modifiers:
+            raise ModelFormatError(f"n_features {n_features} is not the "
+                                   f"{n_modifiers} modifier columns of its dimension")
+        return RegressionTree.from_dict(payload)
+    except ModelFormatError as exc:
+        raise ModelFormatError(f"dimension {j} ({name}), tree {i}, {exc}") from None
 
 
 def save_model(model: TvcmModel, path) -> None:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import require_fit_response
-from .errors import DomainError
+from .errors import DomainError, ModelFormatError
 from .losses import EtaRecord, log_link_intercept
 
 # fit_gradient_tree takes its gradients from an EtaRecord; the name stays
@@ -206,7 +206,38 @@ class RegressionTree:
             (-1, math.nan, -1, -1, float(d["leaf_value"]), int(d.get("count", 0)), 0.0)
             for d, g in zip(nodes, gains, strict=True)
         ]))
+        tree._check_layout([k for k, d in enumerate(nodes) if "feature" in d])
         return tree
+
+    def _check_layout(self, internal: list[int]) -> None:
+        """ModelFormatError naming the first node that breaks the layout
+        the builder writes: nodes in preorder, so the children of each
+        ``internal`` node come after it and every node but the root is
+        the child of exactly one node; split features in [0,
+        n_features); finite thresholds and leaf values."""
+        n = len(self.feature)
+        children = []
+        for k in internal:
+            f, left, right = self.feature[k], self.left[k], self.right[k]
+            if not 0 <= f < self.n_features:
+                problem = f"feature {f} is not in [0, {self.n_features})"
+            elif not math.isfinite(self.threshold[k]):
+                problem = f"threshold {self.threshold[k]!r} is not finite"
+            elif k < left < n and k < right < n:
+                children += (left, right)
+                continue
+            else:
+                bad = right if k < left < n else left
+                problem = f"child {bad} is not one of nodes {k + 1} to {n - 1}"
+            raise ModelFormatError(f"node {k}: {problem}")
+        if sorted(children) != list(range(1, n)):
+            k = next(k for k in range(1, n) if children.count(k) != 1)
+            raise ModelFormatError(
+                f"node {k}: reached {children.count(k)} times, not once"
+            )
+        if not all(map(math.isfinite, self.value)):
+            k = next(k for k, v in enumerate(self.value) if not math.isfinite(v))
+            raise ModelFormatError(f"node {k}: leaf value {self.value[k]!r} is not finite")
 
 
 @dataclass(frozen=True)
@@ -639,31 +670,30 @@ def adjust_leaves(
     leaf with no response and x of one sign, the intercept closed form
     divided by x for a constant-x leaf, and bracketed Newton on the
     derivative otherwise. A final guard compares the leaf-local loss at
-    the step and at 0; if the step would increase it, the leaf keeps 0
-    and a warning is logged. A NaN or an infinity in y or w, a weight
-    <= 0 and, under the Poisson loss, a response < 0 are a DataError
-    naming the first such row.
+    the step and at 0 (the leaf sum of the per-row loss of an
+    ``EtaRecord`` at eta, as in the fit); if the step would increase it,
+    the leaf keeps 0 and a warning is logged. A NaN or an infinity in y
+    or w, a weight <= 0 and, under the Poisson loss, a response < 0 are
+    a DataError naming the first such row.
     """
     y = np.asarray(y, dtype=float)
     w = np.asarray(w, dtype=float)
     if w.ndim == 0:
         w = np.full_like(y, float(w))
-    eta = np.asarray(eta, dtype=float)
     # once per call, so the per-leaf guard runs unchecked
     require_fit_response(y, w, loss, "leaf adjustment")
-    with np.errstate(over="ignore", invalid="ignore"):
-        row_loss = loss._value(loss.link.inverse(eta), y, w)
     return _set_leaf_values(
-        tree, x_col, eta, y, w, loss, tree.assign(modifiers), row_loss
+        tree, x_col, EtaRecord(loss, eta, y, w), tree.assign(modifiers)
     )
 
 
-def _set_leaf_values(tree, x_col, eta, y, w, loss, leaf_of,
-                     row_loss) -> RegressionTree:
-    """``adjust_leaves`` on y and w (length-n arrays) that its caller has
-    already checked, given each row's leaf id ``leaf_of`` and the per-row
-    loss ``row_loss`` at eta, whose leaf sums are the guard's loss at 0."""
+def _set_leaf_values(tree, x_col, at_eta: EtaRecord, leaf_of) -> RegressionTree:
+    """``adjust_leaves`` at the linear predictor of ``at_eta``, whose y
+    and w (length-n arrays) its caller has already checked, given each
+    row's leaf id ``leaf_of``; the leaf sums of the record's per-row
+    loss are the guard's loss at 0."""
     x_col = np.asarray(x_col, dtype=float)
+    eta, y, w, loss = at_eta.eta, at_eta.y, at_eta.w, at_eta.loss
     gaussian = loss.kind == "gaussian_deviance"
     for lid in tree.leaf_ids().tolist():
         rows = np.flatnonzero(leaf_of == lid)
@@ -680,7 +710,8 @@ def _set_leaf_values(tree, x_col, eta, y, w, loss, leaf_of,
         if gamma != 0.0:
             with np.errstate(over="ignore", invalid="ignore"):
                 f_new = float(loss._value(loss.link.inverse(es + gamma * xs), ys, ws).sum())
-            if not np.isfinite(f_new) or f_new > float(row_loss[rows].sum()):
+                f_zero = float(at_eta.row_loss[rows].sum())
+            if not np.isfinite(f_new) or f_new > f_zero:
                 logger.warning("leaf step would increase loss; using 0")
                 gamma = 0.0
         tree.value[lid] = gamma
@@ -706,7 +737,4 @@ def fit_gradient_tree(
     tree = fit_partition(
         g, modifiers, config, presorted=presorted, assign_out=assign_out
     )
-    return _set_leaf_values(
-        tree, x_col, at_eta.eta, at_eta.y, at_eta.w, at_eta.loss, assign_out,
-        at_eta.row_loss,
-    )
+    return _set_leaf_values(tree, x_col, at_eta, assign_out)

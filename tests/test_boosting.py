@@ -38,6 +38,23 @@ def test_config_validation():
         boosting.StoppingConfig(patience=0)
 
 
+@pytest.mark.parametrize("setting, values", [("kappa", (1, 2)),
+                                             ("epsilon", (0.1, 0.2, 0.3))])
+@pytest.mark.parametrize("entry", ["fit", "tune"])
+def test_a_per_dimension_setting_of_the_wrong_length_is_a_config_error(
+        setting, values, entry):
+    ds, _ = sim_encoded(n=200, seed=3)
+    message = f"{setting} lists {len(values)} values for 8 dimensions"
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        if entry == "fit":
+            fit(ds, **{"kappa": 1, setting: values})
+        else:
+            boosting.tune_kappa(
+                ds, boosting.BoostConfig(**{"kappa": 1, setting: values}),
+                boosting.StoppingConfig(), losses.GAUSSIAN,
+            )
+
+
 @pytest.mark.parametrize(
     "field, row, column",
     [("X", 5, "x3"), ("y", 7, "response"), ("w", 0, "weight")],
@@ -431,22 +448,26 @@ def test_tune_reuses_train_loss_after_rejection(monkeypatch):
     stopping = boosting.StoppingConfig(
         validation_fraction=0.4, patience=4, seed=1, acceptance_z=1.0
     )
-    n_train = data.split(std, (0.6, 0.4), stopping.seed)[0].n
+    ds_tr = data.split(std, (0.6, 0.4), stopping.seed)[0]
+    n_train = ds_tr.n
     assert n_train != std.n - n_train
     calls = []
-    real = boosting.loss_total
+    real = losses.GAUSSIAN._value
 
-    def counting(loss, eta, y, w):
+    def counting(mu, y, w):
         calls.append(len(y))
-        return real(loss, eta, y, w)
+        return real(mu, y, w)
 
-    monkeypatch.setattr(boosting, "loss_total", counting)
+    # every x is non-zero, so a stepped train record evaluates every row
+    monkeypatch.setattr(losses.GAUSSIAN, "_value", counting)
+    model.fit_glm(ds_tr, losses.GAUSSIAN)  # the tuning's own GLM start
+    glm_calls = len(calls)
     cfg = boosting.BoostConfig(kappa=15, tree=tree.TreeConfig(2, 10))
     result = boosting.tune_kappa(std, cfg, stopping, losses.GAUSSIAN)
     accepted = int(result.kappa.sum())
     rejected = len(result.trace) - accepted
     assert rejected > 1
-    assert calls.count(n_train) <= 1 + accepted
+    assert calls[glm_calls:].count(n_train) == glm_calls + 1 + accepted
     # the reused value is the one a fresh evaluation would give
     for prev, row in zip(result.trace, result.trace[1:]):
         if not row.accepted:
@@ -481,33 +502,40 @@ def test_trace_losses_equal_fresh_loss_totals(case, tmp_path, monkeypatch):
     ds_tr, ds_va = data.split(std, (0.5, 0.5), stopping.seed)
     eta_va = model.glm_linear_predictor(model.fit_glm(ds_tr, loss), ds_va.X)
     train_losses, valid_losses = [], []
+    eta_tr = None
 
-    real_train_loss = boosting._CycleState.train_loss
-
-    def checked_train_loss(state):
-        value = real_train_loss(state)
-        fresh = losses.loss_total(state.loss, state.eta, state.ds.y, state.ds.w)
-        assert np.float64(value).tobytes() == np.float64(fresh).tobytes()
-        train_losses.append(value)
-        return value
+    def check_train_record(state):
+        # the training record, stepped on the moving rows only, holds
+        # the eta and the loss total of a full-length step
+        assert state.at.eta.tobytes() == eta_tr.tobytes()
+        fresh = losses.loss_total(loss, eta_tr, state.ds.y, state.ds.w)
+        assert np.float64(state.at.total).tobytes() == np.float64(fresh).tobytes()
+        train_losses.append(state.at.total)
 
     real_run = boosting._run_cycles
 
     def checked_run(state, kappa_max, accept, patience=1):
+        nonlocal eta_tr
+        eta_tr = state.at.eta.copy()
+
         def checked_accept(j, candidate):
-            nonlocal eta_va
+            nonlocal eta_tr, eta_va
+            check_train_record(state)  # the row before this candidate's
             accepted, valid = accept(j, candidate)
             eta_new = eta_va + state.eps[j] * candidate.predict(ds_va.X) * ds_va.X[:, j]
             fresh = losses.loss_total(loss, eta_new, ds_va.y, ds_va.w)
             assert np.float64(valid).tobytes() == np.float64(fresh).tobytes()
             if accepted:
                 eta_va = eta_new
+                eta_tr = eta_tr + (state.eps[j] * candidate.predict(state.ds.X)
+                                   * state.ds.X[:, j])
             valid_losses.append(valid)
             return accepted, valid
 
-        return real_run(state, kappa_max, checked_accept, patience)
+        trace = real_run(state, kappa_max, checked_accept, patience)
+        check_train_record(state)  # the last row's
+        return trace
 
-    monkeypatch.setattr(boosting._CycleState, "train_loss", checked_train_loss)
     monkeypatch.setattr(boosting, "_run_cycles", checked_run)
     cfg = boosting.BoostConfig(
         epsilon=epsilon, kappa=4, tree=tree.TreeConfig(2, min_leaf)
@@ -515,7 +543,8 @@ def test_trace_losses_equal_fresh_loss_totals(case, tmp_path, monkeypatch):
     result = boosting.tune_kappa(std, cfg, stopping, loss)
     accepted = [row.accepted for row in result.trace]
     assert any(accepted) and not all(accepted)
-    assert train_losses == [row.train_loss for row in result.trace]
+    # the first check is at the GLM start, before any trace row
+    assert train_losses[1:] == [row.train_loss for row in result.trace]
     assert valid_losses == [row.valid_loss for row in result.trace]
 
 

@@ -1,6 +1,8 @@
 import csv
 import hashlib
+import importlib.util
 import json
+import math
 import os
 import pathlib
 import tempfile
@@ -13,6 +15,9 @@ from hypothesis import strategies as st
 from tvcm import boosting, data, model
 from tvcm.cli import main, write_csv
 from tvcm.data import _fmt
+
+
+CLAIMS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "claims.py"
 
 
 def run(args):
@@ -76,17 +81,102 @@ def test_pipeline_outputs_exist(pipeline):
         assert (pipeline / name).exists(), name
 
 
-# sha256 of the trace files of the pipeline run, as the csv module
-# wrote them
-TRACE_SHA256 = {
-    "tune_trace.csv": "10152c5599d2105b7ca7bb4bb31a6d46f30b5a514d710b033b80f6c5f96c7efe",
+# sha256 of every file the pipeline run writes, taken at the commit
+# before the training half stepped its EtaRecord
+PIPELINE_SHA256 = {
+    "evaluation.csv": "bf7a1998d6b874832615531c5f7de8c2d8ab58e9e5c3337a01b6fe814e1b522b",
+    "importance_fi_star.csv": "af3871f4ca2e6d39a330a79fc901d1dea9463764e6700e771a8b35ab03f70a41",
+    "importance_split_gain.csv": "47d3ffd65fe2e831bda23303672afc770562acf5fe7c9bb854c9ffb83e909418",
+    "kappa.csv": "5418c2f5022d776bfb95ecd8d7d3dff18e66f44e6129d2dc8d8065714f40cc52",
+    "model.json": "3cae2d9f494b37ea8d0fc9f496ee66a2fa908d6b0fac55a7e70d9652b0883648",
+    "predictions.csv": "3a7fe1dcec1cd9b191400bc8ddef1e46c1924e709c14e57f34484dfcf1f58889",
+    "rolling_mean.csv": "0c9ff6e86afd3d6264faee41ebe3e74e89952ff36481edf25177078c218eeada",
+    "sim_data.csv": "43137e8e39c1e796ebdc8dc6649b537672883fe8745bbaccee234d66b6f881f2",
+    "sim_data_truth.csv": "4bd3296bc528ab18568b84e6808ff8feffa855898e47699b49a974b9b0bbc4cd",
+    "sim_test.csv": "afa4f8306648e36ba85d9861aa400c602159b082ed2d243390068b66e7a0f00d",
+    "sim_test_truth.csv": "713dc58483d50f3c8b686151d55dffca68b109ba5653793f01a5f57deeeec30e",
+    "sim_train.csv": "ae9ae81ee824d4361f579cd871969485b81413fd4c231f8afe139ce7ac2ac9ee",
+    "sim_train_truth.csv": "f5895ebb0e26e60c6c54c76afa15b54e499d198533e67b356deccc2a0412d1ba",
+    "train_beta.csv": "1b3d8ac2ddda903cad7a8594edd0c7e4149e8b1f63040a369cf5ac27d7f110dd",
     "train_trace.csv": "fcb98387f26c5c23192307a3dbcb205953712d1d1fe99925a907d0e3352e0e59",
+    "tune_trace.csv": "10152c5599d2105b7ca7bb4bb31a6d46f30b5a514d710b033b80f6c5f96c7efe",
 }
 
 
 def test_trace_files_keep_their_bytes(pipeline):
-    digests = dir_digests(pipeline)
-    assert {name: digests[name] for name in TRACE_SHA256} == TRACE_SHA256
+    assert dir_digests(pipeline) == PIPELINE_SHA256
+
+
+@pytest.fixture(scope="module")
+def real_pipeline(tmp_path_factory):
+    """tune -> train -> predict -> evaluate -> importance under the real
+    profile on freMTPL2-shaped CSVs from bench/claims.py: Poisson fits
+    whose trees split on one-hot bundles."""
+    root = tmp_path_factory.mktemp("real")
+    spec = importlib.util.spec_from_file_location("bench_claims", CLAIMS)
+    claims = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(claims)
+    train_csv = root / "claims_train.csv"
+    test_csv = root / "claims_test.csv"
+    claims.write_claims_csv(train_csv, 4000, 5)
+    claims.write_claims_csv(test_csv, 2000, 6)
+    real = ["--profile", "real", "--out", root]
+    assert run(["tune", "--data", train_csv, "--max-kappa", 6, "--patience", 2,
+                "--seed", 5, *real]) == 0
+    assert run(["train", "--data", train_csv, "--kappa", root / "kappa.csv",
+                "--emit-beta", *real]) == 0
+    assert run(["predict", "--model", root / "model.json", "--data", test_csv,
+                "--emit-beta", "--emit-delta", *real]) == 0
+    assert run(["evaluate", "--data", test_csv,
+                "--pred", f"TVCM={root/'predictions.csv'}",
+                "--fit-baselines", train_csv, "--rolling", 100, *real]) == 0
+    assert run(["importance", "--model", root / "model.json",
+                "--data", train_csv, "--aggregate-rows", *real]) == 0
+    return root
+
+
+# sha256 of every file the real-profile run writes, taken at the commit
+# before the training half stepped its EtaRecord
+REAL_PIPELINE_SHA256 = {
+    "claims_test.csv": "9c1737515e69c2808606f6380ff3a84034db9aea047ccce401e9d9d15f25100c",
+    "claims_train.csv": "a6a8a583bda25868514c2fe21a562ea30a5ba4405fca9d86780681e780a50602",
+    "evaluation.csv": "2e6af65639745c62967937d60ea9a4a762641e24fcbaa37a066cfa685c99fc6d",
+    "importance_fi_star.csv": "f51ac4496c693decb8d4d6d27d38f0fb7425a135666d146c4743e42bc80d9879",
+    "importance_split_gain.csv": "2c8c05c84cf590770bef0e9bd65eee8b4e42e8727d1d1fe47cdc5032573dd55e",
+    "importance_split_gain_grouped.csv": "440e1f04765000a329a69e6c03b4ec63dc3918304697dbb9a4e15c5af4bbd98d",
+    "kappa.csv": "f5ebba369016c0bbdfc95f6de09cf1af24d826785dd70367538d4cd6feaf1b86",
+    "model.json": "df5d60f78bf76a1bc94e568c95b2289935bd50957d55ad4a3b5b9e15e6d0728d",
+    "predictions.csv": "013c96cac3a2ba7e01c617b1078ccb1a13fbb752c212b81710d011d3f653e208",
+    "rolling_mean.csv": "eba4aa99537d41a8e4d9a091975256a10f7c65404fe30fa333963258ed2e682b",
+    "train_beta.csv": "a9aa0c9afcad7e4926f6233ac99cfba5bd28fdb27d40d308b33102c16f2fed46",
+    "train_trace.csv": "c63be9897a82c6dbcab81a29e1fccdbdd70907bf43f4a56df44f4d16b4732d3e",
+    "tune_trace.csv": "6857793e06436cf10dc01cb84f9d4929237d403a4914d5638028966f44f69d3c",
+}
+
+
+def test_real_profile_files_keep_their_bytes(real_pipeline):
+    model_doc = json.loads((real_pipeline / "model.json").read_text())
+    split_on = {model_doc["feature_names"][node["feature"]]
+                for dim in model_doc["dimensions"] for t in dim["trees"]
+                for node in t["nodes"] if "feature" in node}
+    assert any("=" in name for name in split_on)  # a one-hot bundle split
+    assert dir_digests(real_pipeline) == REAL_PIPELINE_SHA256
+
+
+def test_evaluate_reads_only_the_outcome_columns(real_pipeline, tmp_path):
+    # --pred scores need the response and weight alone; a file holding
+    # only those columns gives the bytes the full file gives
+    cells, _ = data.read_columns(real_pipeline / "claims_test.csv",
+                                 ["ClaimNb", "Exposure"])
+    outcomes = tmp_path / "outcomes.csv"
+    write_csv(outcomes, ["ClaimNb", "Exposure"],
+              zip(cells["ClaimNb"], cells["Exposure"]))
+    pred = f"TVCM={real_pipeline / 'predictions.csv'}"
+    for name, path in [("full", real_pipeline / "claims_test.csv"),
+                       ("outcomes", outcomes)]:
+        assert run(["evaluate", "--data", path, "--pred", pred, "--rolling", 100,
+                    "--profile", "real", "--out", tmp_path / name]) == 0
+    assert dir_digests(tmp_path / "outcomes") == dir_digests(tmp_path / "full")
 
 
 def test_simulate_shapes_and_determinism(tmp_path):
@@ -721,9 +811,45 @@ def set_key(key, value):
     return edit
 
 
+def set_node(node, key, value):
+    """Edit of node ``node`` of tree 0 of dimension 0 (x1)."""
+    def edit(payload):
+        payload["dimensions"][0]["trees"][0]["nodes"][node][key] = value
+    return edit
+
+
+def add_leaf(payload):
+    tree0 = payload["dimensions"][0]["trees"][0]
+    tree0["nodes"].append({"leaf_value": 0.0, "count": 1})
+    tree0["gains"].append(None)
+
+
+TREE_0 = "dimension 0 (x1), tree 0"
+
 # name: (edit of the Gaussian v1 fixture's document, or the bytes of the
-# file; the start of the error after the file name)
+# file; the start of the error after the file name). Tree 0 of x1 has
+# splits at nodes 0 (children 1 and 4) and 1 (children 2 and 3).
 BAD_MODEL_FILES = {
+    "tree_child_missing": (set_node(0, "left", -1),
+                           f"{TREE_0}, node 0: child -1 is not one of nodes 1 to 4"),
+    "tree_child_is_itself": (set_node(0, "left", 0),
+                             f"{TREE_0}, node 0: child 0 is not one of nodes 1 to 4"),
+    "tree_child_out_of_range": (set_node(1, "right", 999),
+                                f"{TREE_0}, node 1: child 999 is not one of nodes 2 to 4"),
+    "tree_node_reached_twice": (set_node(0, "right", 1),
+                                f"{TREE_0}, node 1: reached 2 times, not once"),
+    "tree_node_unreached": (add_leaf, f"{TREE_0}, node 5: reached 0 times, not once"),
+    "tree_feature_too_high": (set_node(0, "feature", 99),
+                              f"{TREE_0}, node 0: feature 99 is not in [0, 8)"),
+    "tree_feature_negative": (set_node(1, "feature", -3),
+                              f"{TREE_0}, node 1: feature -3 is not in [0, 8)"),
+    "tree_threshold_nan": (set_node(0, "threshold", math.nan),
+                           f"{TREE_0}, node 0: threshold nan is not finite"),
+    "tree_leaf_value_inf": (set_node(4, "leaf_value", math.inf),
+                            f"{TREE_0}, node 4: leaf value inf is not finite"),
+    "tree_n_features": (
+        lambda payload: payload["dimensions"][0]["trees"][0].update(n_features=3),
+        f"{TREE_0}, n_features 3 is not the 8 modifier columns of its dimension"),
     "link": (set_key("link", "log"),
              "unsupported loss/link pairing (gaussian_deviance, log)"),
     "onehot": (set_key("onehot_groups", {"x1": ["x2"]}),
